@@ -7,8 +7,7 @@ import numpy as np
 
 from . import response
 from .errors import NoCoolingWindow, NotCooling
-
-OMEGA_M = response.OMEGA_M
+from .response import OMEGA_M
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class CoolingReport:
     A_minus: float
     A_plus: float
     Gamma_opt: float
-    spring_shift: float
     n_q: float
     n_c: float
     n_f: float
@@ -56,15 +54,14 @@ def cooling_limit(p, require_cooling=False):
     """
     a_minus, a_plus = rates(p)
     gamma_opt = a_minus - a_plus
-    shift = spring_shift(p)
     if gamma_opt <= 0.0:
         if require_cooling:
             raise NotCooling(gamma_opt)
         nan = float("nan")
-        return CoolingReport(a_minus, a_plus, gamma_opt, shift, nan, nan, nan, False)
+        return CoolingReport(a_minus, a_plus, gamma_opt, nan, nan, nan, False)
     n_q = a_plus / gamma_opt
     n_c = p.gamma_sc / gamma_opt
-    return CoolingReport(a_minus, a_plus, gamma_opt, shift, n_q, n_c, n_q + n_c, True)
+    return CoolingReport(a_minus, a_plus, gamma_opt, n_q, n_c, n_q + n_c, True)
 
 
 def closed_form_detuning(p):

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cooling as cooling_mod
-from .errors import IllConditioned, NotCooling, Unstable
-
-OMEGA_M = 1.0
+from .errors import IllConditioned, Unstable
+from .response import OMEGA_M
 
 QUADRATURE_ORDER = ("X2", "Y2", "X3", "Y3", "q", "p")
 
@@ -127,11 +126,6 @@ class OracleReport:
     rel_dev: float
     rel_dev_formula: float
     stable: bool
-    note: str = (
-        "n_formula omits the intrinsic mechanical damping gamma in its "
-        "denominator; n_rate = (A_plus + gamma_sc + gamma n_th)/(Gamma_opt + gamma) "
-        "restores it and is the value rel_dev is measured against"
-    )
 
 
 def oracle_compare(p):

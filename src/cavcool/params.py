@@ -205,21 +205,6 @@ def normalize(phys, steady):
     )
 
 
-def denormalized_rates(p, omega_m):
-    """Map a NormalizedParams back to rad/s rates (round-trip helper)."""
-    _require_positive(omega_m, "omega_m")
-    return {
-        "delta2p": p.delta2p * omega_m,
-        "delta3": p.delta3 * omega_m,
-        "kappa": p.kappa * omega_m,
-        "kappa3": p.kappa3 * omega_m,
-        "J": p.J * omega_m,
-        "Omega_m": p.Omega_m * omega_m,
-        "gamma": p.gamma * omega_m,
-        "gamma_sc": p.gamma_sc * omega_m,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Flat key-value config format
 # ---------------------------------------------------------------------------
@@ -235,14 +220,8 @@ RATE_KEYS = (
     "gamma_sc",
     "n_th",
 )
-PHYSICAL_KEYS = (
-    "radius_nm",
-    "density",
-    "epsilon",
-    "lambda_um",
-    "cavity_length_cm",
-    "waist_um",
-)
+# The physical keys that derive gamma_sc when it is not given.
+PHYSICAL_KEYS = ("radius_nm", "epsilon", "lambda_um")
 # `omega_m` (rad/s) is required when omega_m_units = si; the rate keys alone
 # carry no frequency scale to normalize against.
 CONFIG_KEYS = ("omega_m_units", "omega_m") + RATE_KEYS + PHYSICAL_KEYS

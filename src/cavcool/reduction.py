@@ -10,7 +10,7 @@ inequalities below are exact consequences of that elimination.
 import math
 from dataclasses import dataclass
 
-OMEGA_M = 1.0
+from .response import OMEGA_M
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,6 @@ which is the quantity that sets the cooling and heating rates directly.
 Every function accepts a scalar or an ndarray for `omega` and broadcasts.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GridTooCoarse, ValidationError
@@ -76,66 +74,34 @@ def s_ff(omega, p):
     return p.Omega_m**2 * np.abs(chi) ** 2 * bracket
 
 
-@dataclass(frozen=True)
-class ResponseSet:
-    """All response quantities evaluated at one frequency."""
-
-    omega: float
-    chi2: complex
-    chi3: complex
-    chi: complex
-    chi_m: complex
-    sigma: complex
-
-
-def evaluate(omega, p):
-    return ResponseSet(
-        omega=float(omega),
-        chi2=complex(chi2(omega, p)),
-        chi3=complex(chi3(omega, p)),
-        chi=complex(chi_total(omega, p)),
-        chi_m=complex(chi_m(omega, p)),
-        sigma=complex(self_energy(omega, p)),
-    )
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    omega: float
-    s: float
-
-
 def spectrum_scan(omega_grid, p):
-    """Evaluate the spectrum on a strictly increasing grid."""
+    """(grid, S_FF values) on a strictly increasing grid."""
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("omega grid must be one-dimensional with >= 2 points")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("omega grid must be strictly increasing")
-    values = s_ff(grid, p)
-    return [SpectrumSample(float(w), float(s)) for w, s in zip(grid, values)]
+    return grid, s_ff(grid, p)
 
 
-def find_extrema(samples):
-    """Locate interior extrema of a sampled spectrum by derivative sign change.
+def find_extrema(grid, values):
+    """Locate interior extrema of `values` sampled on `grid` by derivative sign change.
 
     Returns a list of (omega, kind) with kind in {"max", "min"}.  Raises
     GridTooCoarse when adjacent samples are exactly equal, because a flat
     segment makes the curvature test ambiguous at that resolution.
     """
-    s = np.array([sample.s for sample in samples])
-    w = np.array([sample.omega for sample in samples])
-    diffs = np.diff(s)
+    diffs = np.diff(values)
     if np.any(diffs == 0.0):
-        flat_at = w[np.nonzero(diffs == 0.0)[0][0]]
+        flat_at = grid[np.nonzero(diffs == 0.0)[0][0]]
         raise GridTooCoarse(
             f"flat segment near omega = {flat_at:.6g}; refine the grid to classify extrema"
         )
     extrema = []
     signs = np.sign(diffs)
-    for i in range(1, len(samples) - 1):
+    for i in range(1, len(values) - 1):
         if signs[i - 1] > 0 and signs[i] < 0:
-            extrema.append((float(w[i]), "max"))
+            extrema.append((float(grid[i]), "max"))
         elif signs[i - 1] < 0 and signs[i] > 0:
-            extrema.append((float(w[i]), "min"))
+            extrema.append((float(grid[i]), "min"))
     return extrema

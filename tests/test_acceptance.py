@@ -108,7 +108,7 @@ class TestCriterion3:
         fig3b/fig3f: one adjacent Fano max/min pair near omega = -delta3."""
         window = np.linspace(-30.0, 30.0, 6001)
 
-        eit = response.find_extrema(response.spectrum_scan(window, fig3_params(0.0)))
+        eit = response.find_extrema(*response.spectrum_scan(window, fig3_params(0.0)))
         kinds = [k for _, k in eit]
         assert kinds == ["max", "min", "max"], f"fig3d extrema: {eit}"
         dip = eit[1][0]
@@ -116,7 +116,7 @@ class TestCriterion3:
 
         for delta2p, label in ((100.0, "fig3b"), (-100.0, "fig3f")):
             fano = response.find_extrema(
-                response.spectrum_scan(window, fig3_params(delta2p))
+                *response.spectrum_scan(window, fig3_params(delta2p))
             )
             assert len(fano) == 2, f"{label} extrema: {fano}"
             assert {k for _, k in fano} == {"max", "min"}, f"{label} extrema: {fano}"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavcool import cli, params
+from cavcool import cli, lyapunov, params
 
 CONFIG = """
 delta2p = 66.666666666666667
@@ -247,6 +247,50 @@ class TestSweep:
         _, rows = read_csv(out)
         flags = {row[-1] for row in rows}
         assert "not_cooling" in flags  # red-detuned coupled preset heats
+
+    def test_ill_conditioned_point_is_flagged_not_fatal(self, tmp_path):
+        # The single-cavity series at kappa = 100, Omega_m = 5 sits on the
+        # edge Omega_m^2 = kappa/4, where the Lyapunov residual misses its
+        # target; that one value is NaN and every row is still written.
+        config = tmp_path / "edge.cfg"
+        config.write_text(
+            "delta2p = 0\ndelta3 = 0.5\nkappa = 100\nkappa3 = 1\nJ = 10\n"
+            f"Omega_m = 0.25\ngamma = 1e-5\ngamma_sc = {cli.RECOIL_50NM!r}\n"
+        )
+        out = tmp_path / "edge.csv"
+        rc = cli.main([
+            "sweep", "--config", str(config), "--out", str(out),
+            "--axis1", "kappa:1:1000:7:log", "--axis2", "Omega_m:0.05:5:6:log",
+            "--quantity", "n_lyapunov", "--dual", "--preset-coupling",
+        ])
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert header == ["kappa", "Omega_m", "n_lyapunov_coupled", "n_lyapunov_single", "flag"]
+        assert len(rows) == 42
+        flagged = [row for row in rows if row[-1] == "ill_conditioned"]
+        assert [(float(r[0]), float(r[1])) for r in flagged] == [(100.0, 5.0)]
+        assert flagged[0][3] == "nan"
+
+    def test_one_model_and_eigen_decomposition_per_series(self, config_path, tmp_path, monkeypatch):
+        calls = {"build_model": 0, "eigen_stable": 0}
+        for name in calls:
+            original = getattr(lyapunov, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lyapunov, name, counted)
+        rc = cli.main([
+            "sweep", "--config", config_path, "--out", str(tmp_path / "w.csv"),
+            "--axis1", "kappa:1:1000:6:log", "--axis2", "Omega_m:0.05:4:5:log",
+            "--quantity", "n_f,n_lyapunov,stable,max_real_eig", "--dual", "--preset-coupling",
+        ])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "w.csv")
+        assert {row[-1] for row in rows} >= {"ok", "unstable"}
+        # 30 rows, two series each: one model and one eigen-decomposition per series.
+        assert calls == {"build_model": 2 * 30, "eigen_stable": 2 * 30}
 
 
 class TestFigurePresets:

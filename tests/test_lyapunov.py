@@ -236,7 +236,6 @@ class TestOracleCompare:
         # The bare formula misses gamma in the denominator, so it sits far
         # above the exact answer at weak coupling.
         assert report.n_formula > 1.5 * report.n_lyapunov
-        assert "gamma" in report.note
 
     def test_not_cooling_propagates(self):
         p = fig5_coupled(100.0).replace(J=0.0, delta2p=50.0, Omega_m=0.01)

@@ -119,16 +119,6 @@ class TestNormalize:
         assert p.J == pytest.approx(1e6 * 0.5 / phys.omega_m, rel=1e-12)
         assert p.Omega_m == pytest.approx(5e5 / phys.omega_m, rel=1e-12)
 
-    def test_round_trip(self):
-        p = NormalizedParams(
-            delta2p=66.0, delta3=0.5, kappa=100.0, kappa3=1.0, J=10.0,
-            Omega_m=0.25, gamma=1e-5, gamma_sc=1e-3, n_th=2.0,
-        )
-        omega_m = 2 * math.pi * 0.5e6
-        si = params.denormalized_rates(p, omega_m)
-        for key, value in si.items():
-            assert value / omega_m == pytest.approx(getattr(p, key), rel=1e-12)
-
 
 class TestJPresets:
     def test_sideband_preset(self):
@@ -176,6 +166,12 @@ class TestConfig:
     def test_unknown_key_names_token(self):
         with pytest.raises(ConfigError, match="bogus_key"):
             params.parse_config(CONFIG_OK + "bogus_key = 1\n")
+
+    @pytest.mark.parametrize("key", ["density", "cavity_length_cm", "waist_um"])
+    def test_unread_physical_keys_rejected(self, key):
+        # Nothing derives a rate from these, so accepting them would ignore them.
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            params.parse_config(CONFIG_OK + f"{key} = 1\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
