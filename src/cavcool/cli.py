@@ -12,6 +12,7 @@ exits 3 when its Lyapunov solve misses the residual target.
 import argparse
 import functools
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -38,39 +39,67 @@ RECOIL_50NM = params.recoil_heating(50e-9, 2.0, 1e-6)
 
 SWEEPABLE = params.RATE_KEYS + ("omega",)
 
+# Points evaluated per block: bounds the evaluator's temporary arrays.
+BLOCK_POINTS = 2048
+# Largest sweep grid (axis1.count x axis2.count), a 1000 x 1000 grid.  Rows
+# are held as columns until the CSV is written, 8 bytes per cell, so the
+# widest sweep (every quantity with --dual, 43 columns) stays near 350 MB.
+MAX_SWEEP_POINTS = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# Rows formatted and written per chunk, which bounds the formatted text held
+# in memory.
+CSV_CHUNK_ROWS = 1024
+
+
+@functools.cache
+def _formatter(kind):
+    """The cell formatter for values of type `kind`."""
+    if issubclass(kind, str):
+        return str
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda value: "1" if value else "0"
+    if issubclass(kind, (int, np.integer)):
+        return lambda value: str(int(value))
+    if kind is float:
+        return "{:.17g}".format
+    return lambda value: format(float(value), ".17g")
+
+
+def _format_column(cells):
+    kinds = set(map(type, cells))
+    if len(kinds) == 1:
+        return list(map(_formatter(kinds.pop()), cells))
+    return [_formatter(type(cell))(cell) for cell in cells]
 
 
 def emit_csv(rows, schema, path):
     """Write rows (sequences matching `schema`) as CSV with LF endings.
 
     Floats carry 17 significant digits so a parse-back reproduces them
-    bit-exactly; NaN cells are emitted as the literal `nan`.
+    bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
+    `1`/`0`.  Cells are formatted a column at a time, CSV_CHUNK_ROWS rows
+    per chunk.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(schema) + "\n")
-            for row in rows:
-                if len(row) != len(schema):
-                    raise ValidationError(
-                        f"row width {len(row)} does not match schema width {len(schema)}"
-                    )
-                handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+            rows = iter(rows)
+            while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+                for row in chunk:
+                    if len(row) != len(schema):
+                        raise ValidationError(
+                            f"row width {len(row)} does not match schema width {len(schema)}"
+                        )
+                columns = [_format_column(cells) for cells in zip(*chunk)]
+                handle.writelines(",".join(cells) + "\n" for cells in zip(*columns))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -118,45 +147,49 @@ QUANTITIES = (
 
 
 def _exact(p, solve):
-    """(stable, max_real_eig, n_lyapunov, flag) from one model and one eigen-decomposition.
+    """(stable, max_real_eig, n_lyapunov, flags) from one stacked model and eigen-decomposition.
 
     Without `solve` only the eigenvalues are computed and n_lyapunov is None.
-    An ill-conditioned solve yields NaN and the flag `ill_conditioned`; its
-    stability is then recomputed, since the exception carries no eigenvalues.
+    An unstable point yields NaN and the flag `unstable`, an ill-conditioned
+    solve NaN and the flag `ill_conditioned`.
     """
     model = lyapunov.build_model(p)
     if not solve:
-        return (*lyapunov.eigen_stable(model), None, "ok")
-    try:
-        result = lyapunov.solve_steady(model)
-    except Unstable as exc:
-        return False, exc.max_real_eigenvalue, float("nan"), "unstable"
-    except IllConditioned:
-        return (*lyapunov.eigen_stable(model), float("nan"), "ill_conditioned")
-    return result.stable, result.max_real_eigenvalue, result.n_phonon, "ok"
+        return (*lyapunov.eigen_stable(model), None, _flags(p.shape))
+    result = lyapunov.solve_steady(model)
+    flags = _flags(p.shape)
+    flags[result.residual > lyapunov.RESIDUAL_RTOL] = "ill_conditioned"
+    flags[np.logical_not(result.stable)] = "unstable"
+    return result.stable, result.max_real_eigenvalue, result.n_phonon, flags
+
+
+def _flags(shape):
+    """An all-`ok` flag array; object dtype, so rows share the flag strings."""
+    return np.full(shape, "ok", dtype=object)
 
 
 def evaluate_quantities(p, names, omega=None):
-    """Evaluate the requested quantities at one parameter point.
+    """Evaluate the requested quantities at a block of parameter points.
 
-    Returns (values dict, flag).  Non-cooling, unstable and ill-conditioned
-    points yield NaN for the affected quantities and a descriptive flag; when
-    several apply, the flag of the later name in `names` wins.
+    `p` has array fields of one shape (see `_block`), and `omega`, when
+    given, has that shape too.  Returns (values dict of arrays, flags array).
+    Non-cooling, unstable and ill-conditioned points yield NaN for the
+    affected quantities and a descriptive flag; when several apply, the flag
+    of the later name in `names` wins.
     """
     out = {}
-    flag = "ok"
+    flags = _flags(p.shape)
     report = eff = exact = None
     verdicts = {}
     for name in names:
         if name == "S_ff":
             if omega is None:
                 raise ValidationError("quantity S_ff requires an `omega` axis")
-            out[name] = float(response.s_ff(omega, p))
+            out[name] = response.s_ff(omega, p)
         elif name in COOLING_QUANTITIES:
             if report is None:
                 report = cooling.cooling_limit(p)
-                if not report.cooling:
-                    flag = "not_cooling"
+                flags[np.logical_not(report.cooling)] = "not_cooling"
             out[name] = getattr(report, name)
         elif name == "delta_omega_m":
             out[name] = cooling.spring_shift(p)
@@ -171,13 +204,44 @@ def evaluate_quantities(p, names, omega=None):
             out[name] = getattr(verdicts[series], kind)
         elif name in EXACT_QUANTITIES:
             if exact is None:
-                *exact, exact_flag = _exact(p, "n_lyapunov" in names)
+                *exact, exact_flags = _exact(p, "n_lyapunov" in names)
             out[name] = exact[EXACT_QUANTITIES.index(name)]
-            if name == "n_lyapunov" and exact_flag != "ok":
-                flag = exact_flag
+            if name == "n_lyapunov":
+                flags = np.where(exact_flags == "ok", flags, exact_flags)
         else:
             raise ValidationError(f"unknown quantity {name!r}")
-    return out, flag
+    return out, flags
+
+
+def _block(p, shape):
+    """p with every field broadcast to `shape`: a block of points for the evaluator."""
+    return p.replace(**{k: np.broadcast_to(getattr(p, k), shape) for k in params.RATE_KEYS})
+
+
+class _Rows:
+    """Table rows held as blocks of equal-length column arrays.
+
+    Sized and re-iterable like a list of rows, so `emit_csv` takes it as
+    one; rows are made of Python scalars only as they are read.  Holding
+    columns instead of row objects keeps a sweep near 8 bytes per cell.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def __len__(self):
+        return sum(len(columns[0]) for columns in self.blocks)
+
+    def __iter__(self):
+        for columns in self.blocks:
+            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                part = slice(start, start + CSV_CHUNK_ROWS)
+                yield from zip(*(np.asarray(column[part]).tolist() for column in columns))
+
+
+def _columns(*arrays):
+    """Rows of equal-length columns."""
+    return _Rows([arrays])
 
 
 # Subcommands evaluated at the config point: subcommand -> (parameter
@@ -249,19 +313,17 @@ def parse_axis(text):
     return Axis(name, lo, hi, count, scale)
 
 
-def _apply_point(base, assignments, preset_coupling):
-    """NormalizedParams for one grid point; returns (params, omega or None)."""
+def _sweep_params(base, names, point, preset_coupling):
+    """Block params for grid points given as axis columns; returns (params, omega or None)."""
     fields = {k: getattr(base, k) for k in params.RATE_KEYS}
-    omega = None
-    for name, value in assignments.items():
-        if name == "omega":
-            omega = value
-        else:
-            fields[name] = value
+    assignments = dict(zip(names, point))
+    omega = assignments.pop("omega", None)
+    fields.update(assignments)
     if preset_coupling:
         fields["J"] = params.j_sideband_preset(fields["kappa"])
-        fields["delta2p"] = fields["J"] ** 2 / (fields["delta3"] + 1.0)
-    return params.NormalizedParams(**fields), omega
+        fields["delta2p"] = params.square(fields["J"]) / (fields["delta3"] + 1.0)
+    kind = params.SweptJ if "J" in assignments else params.NormalizedParams
+    return _block(kind(**fields), point[0].shape), omega
 
 
 def _single_cavity(p):
@@ -269,24 +331,34 @@ def _single_cavity(p):
 
 
 def run_sweep(base, spec):
-    """Evaluate a sweep point by point, in axis order (the last axis varies fastest).
+    """Evaluate a sweep in blocks of points, in axis order (the last axis varies fastest).
 
     With `dual` each point is evaluated for the coupled and the single-cavity
-    series; the row's flag is the coupled one unless that is `ok`.
+    series; the row's flag is the coupled one unless that is `ok`.  Grids of
+    more than MAX_SWEEP_POINTS points are rejected before anything is
+    allocated.
     """
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
+    size = math.prod(axis.count for axis in axes)
+    if size > MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"sweep of {size} points exceeds the limit of {MAX_SWEEP_POINTS} points"
+        )
     names = [axis.name for axis in axes]
-    rows = []
-    for point in itertools.product(*(axis.grid() for axis in axes)):
-        p, omega = _apply_point(base, dict(zip(names, point)), spec.preset_coupling)
+    mesh = np.meshgrid(*(axis.grid() for axis in axes), indexing="ij")
+    grid = [column.ravel() for column in mesh]
+    blocks = []
+    for start in range(0, size, BLOCK_POINTS):
+        point = [column[start : start + BLOCK_POINTS] for column in grid]
+        p, omega = _sweep_params(base, names, point, spec.preset_coupling)
         series = (p, _single_cavity(p)) if spec.dual else (p,)
         results = [evaluate_quantities(q, spec.quantities, omega) for q in series]
-        row = list(point)
+        columns = list(point)
         for name in spec.quantities:
-            row.extend(values[name] for values, _ in results)
-        flags = [flag for _, flag in results]
-        row.append(flags[0] if flags[0] != "ok" else flags[-1])
-        rows.append(row)
+            columns.extend(values[name] for values, _ in results)
+        coupled_flags, last_flags = results[0][1], results[-1][1]
+        columns.append(np.where(coupled_flags != "ok", coupled_flags, last_flags))
+        blocks.append(columns)
 
     schema = names
     if spec.dual:
@@ -295,7 +367,7 @@ def run_sweep(base, spec):
     else:
         schema.extend(spec.quantities)
     schema.append("flag")
-    return rows, schema
+    return _Rows(blocks), schema
 
 
 # ---------------------------------------------------------------------------
@@ -329,45 +401,40 @@ def _fig3_rows(preset):
     grid = np.linspace(lo, hi, count)
     s_coupled = response.s_ff(grid, p)
     s_single = response.s_ff(grid, p.replace(J=0.0))
-    rows = [[w, sc, ss] for w, sc, ss in zip(grid, s_coupled, s_single)]
-    return rows, ["omega", "S_coupled", "S_single"]
+    return _columns(grid, s_coupled, s_single), ["omega", "S_coupled", "S_single"]
 
 
 def _fig4_rows(preset):
-    rows = []
-    for kappa in np.geomspace(1.0, 1000.0, 61):
-        j = 0.0 if preset["single"] else params.j_sideband_preset(kappa)
-        for ratio in np.linspace(-3.0, 3.0, 121):
-            delta2p = ratio * kappa
-            p = params.NormalizedParams(
-                delta2p=delta2p,
-                delta3=preset["delta3"],
-                kappa=kappa,
-                kappa3=preset["kappa3"],
-                J=j,
-                Omega_m=preset["Omega_m"],
-                gamma=preset["gamma"],
-            )
-            rows.append([kappa, delta2p, cooling.net_rate(p)])
-    return rows, ["kappa", "delta2p", "Gamma_opt"]
+    kappa, ratio = (c.ravel() for c in np.meshgrid(
+        np.geomspace(1.0, 1000.0, 61), np.linspace(-3.0, 3.0, 121), indexing="ij"
+    ))
+    delta2p = ratio * kappa
+    p = params.NormalizedParams(
+        delta2p=delta2p,
+        delta3=preset["delta3"],
+        kappa=kappa,
+        kappa3=preset["kappa3"],
+        J=0.0 if preset["single"] else params.j_sideband_preset(kappa),
+        Omega_m=preset["Omega_m"],
+        gamma=preset["gamma"],
+    )
+    return _columns(kappa, delta2p, cooling.net_rate(p)), ["kappa", "delta2p", "Gamma_opt"]
 
 
 def _n_f_rows(x_name, grid, labels, points):
-    """n_f and its flag for each series along one axis; `points(x)` gives one params per label."""
-    rows = []
-    for x in grid:
-        row = [x]
-        for p in points(x):
-            values, flag = evaluate_quantities(p, ("n_f",))
-            row.extend([values["n_f"], flag])
-        rows.append(row)
-    return rows, [x_name] + [f"{k}_{label}" for label in labels for k in ("n_f", "flag")]
+    """n_f and its flag for each series along one axis; `points(grid)` gives one block per label."""
+    columns = [grid]
+    for p in points(grid):
+        values, flags = evaluate_quantities(p, ("n_f",))
+        columns.extend([values["n_f"], flags])
+    schema = [x_name] + [f"{k}_{label}" for label in labels for k in ("n_f", "flag")]
+    return _columns(*columns), schema
 
 
 def _coupled_preset_params(kappa, preset, kappa3=None, gamma_sc=None):
     j = params.j_sideband_preset(kappa)
     return params.NormalizedParams(
-        delta2p=j**2 / (preset["delta3"] + 1.0),
+        delta2p=params.square(j) / (preset["delta3"] + 1.0),
         delta3=preset["delta3"],
         kappa=kappa,
         kappa3=preset["kappa3"] if kappa3 is None else kappa3,
@@ -380,10 +447,10 @@ def _coupled_preset_params(kappa, preset, kappa3=None, gamma_sc=None):
 
 def _fig5a_rows(preset):
     def points(j):
-        p = params.NormalizedParams(
+        p = params.SweptJ(
             delta2p=preset["delta2p"],
             delta3=preset["delta3"],
-            kappa=j**2,
+            kappa=params.square(j),
             kappa3=preset["kappa3"],
             J=j,
             Omega_m=preset["Omega_m"],
@@ -656,19 +723,18 @@ def _dispatch(args):
         if axis.name != "omega":
             raise ValidationError("spectrum axis must be `omega`")
         grid = axis.grid()
-        values = response.s_ff(grid, base)
-        emit_csv([[w, s] for w, s in zip(grid, values)], ["omega", "S"], args.out)
+        emit_csv(_columns(grid, response.s_ff(grid, base)), ["omega", "S"], args.out)
         return EXIT_OK
 
     if args.subcommand in POINT_SUBCOMMANDS:
         columns, quantities, with_flag = POINT_SUBCOMMANDS[args.subcommand]
         series = "single" if base.J == 0.0 else "coupled"
         names = [q.replace("*", series) for q in quantities]
-        values, flag = evaluate_quantities(base, names)
-        row = [getattr(base, c) for c in columns] + [values[n] for n in names]
+        values, flags = evaluate_quantities(_block(base, (1,)), names)
+        row = [getattr(base, c) for c in columns] + [values[n][0] for n in names]
         schema = list(columns) + [q.replace("_*", "") for q in quantities]
         if with_flag:
-            row.append(flag)
+            row.append(flags[0])
             schema.append("flag")
         emit_csv([row], schema, args.out)
         return EXIT_OK
@@ -679,7 +745,8 @@ def _dispatch(args):
             cells = [report.n_formula, report.n_lyapunov, report.rel_dev, report.stable]
         except (NotCooling, Unstable):
             nan = float("nan")
-            cells = [nan, nan, nan, evaluate_quantities(base, ("stable",))[0]["stable"]]
+            values, _ = evaluate_quantities(_block(base, (1,)), ("stable",))
+            cells = [nan, nan, nan, values["stable"][0]]
         emit_csv(
             [[base.kappa, base.Omega_m] + cells],
             ["kappa", "Omega_m", "n_f_formula", "n_lyapunov", "rel_dev", "stable"],

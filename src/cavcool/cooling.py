@@ -1,4 +1,8 @@
-"""Cooling and heating rates, phonon limits, and optimum-detuning search."""
+"""Cooling and heating rates, phonon limits, and optimum-detuning search.
+
+Every per-point function evaluates a single point or a block of points (see
+`params.NormalizedParams`) and returns Python scalars for a single point.
+"""
 
 import math
 from dataclasses import dataclass
@@ -7,6 +11,7 @@ import numpy as np
 
 from . import response
 from .errors import NoCoolingWindow, NotCooling
+from .params import square, unwrap
 from .response import OMEGA_M
 
 
@@ -16,7 +21,8 @@ class CoolingReport:
 
     n_q = A_plus / Gamma_opt is the quantum backaction limit, n_c =
     gamma_sc / Gamma_opt the recoil (classical) limit, n_f their sum.  When
-    Gamma_opt <= 0 the occupancies are NaN and `cooling` is False.
+    Gamma_opt <= 0 the occupancies are NaN and `cooling` is False.  For a
+    block of points every field is an array.
     """
 
     A_minus: float
@@ -30,7 +36,7 @@ class CoolingReport:
 
 def rates(p):
     """Cooling and heating rates (A_minus, A_plus) = S_FF(+-omega_m) x_zpf^2."""
-    return float(response.s_ff(OMEGA_M, p)), float(response.s_ff(-OMEGA_M, p))
+    return response.s_ff(OMEGA_M, p), response.s_ff(-OMEGA_M, p)
 
 
 def net_rate(p):
@@ -41,7 +47,7 @@ def net_rate(p):
 
 def spring_shift(p):
     """Optical spring shift Re Sigma(omega_m)."""
-    return float(response.self_energy(OMEGA_M, p).real)
+    return response.self_energy(OMEGA_M, p).real
 
 
 def cooling_limit(p, require_cooling=False):
@@ -49,19 +55,20 @@ def cooling_limit(p, require_cooling=False):
 
     The thermal-bath contribution gamma*n_th/Gamma_opt is deliberately not
     included; the Lyapunov oracle carries it and comparisons zero it out.
-    With `require_cooling` a nonpositive Gamma_opt raises NotCooling instead
-    of returning a flagged report.
+    With `require_cooling` a nonpositive Gamma_opt (at any point of a block)
+    raises NotCooling instead of returning a flagged report.
     """
     a_minus, a_plus = rates(p)
     gamma_opt = a_minus - a_plus
-    if gamma_opt <= 0.0:
-        if require_cooling:
-            raise NotCooling(gamma_opt)
-        nan = float("nan")
-        return CoolingReport(a_minus, a_plus, gamma_opt, nan, nan, nan, False)
-    n_q = a_plus / gamma_opt
-    n_c = p.gamma_sc / gamma_opt
-    return CoolingReport(a_minus, a_plus, gamma_opt, n_q, n_c, n_q + n_c, True)
+    cooling = ~(np.asarray(gamma_opt) <= 0.0)
+    if require_cooling and not cooling.all():
+        raise NotCooling(float(np.asarray(gamma_opt)[~cooling].flat[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_q = np.where(cooling, np.divide(a_plus, gamma_opt), np.nan)
+        n_c = np.where(cooling, np.divide(p.gamma_sc, gamma_opt), np.nan)
+    return CoolingReport(
+        a_minus, a_plus, gamma_opt, unwrap(n_q), unwrap(n_c), unwrap(n_q + n_c), unwrap(cooling)
+    )
 
 
 def closed_form_detuning(p):
@@ -70,7 +77,7 @@ def closed_form_detuning(p):
     Places the dressed auxiliary resonance on the cooling sideband; the
     figure presets and the ground-state-window sweeps use this choice.
     """
-    return p.J**2 / (p.delta3 + OMEGA_M)
+    return unwrap(square(p.J) / (p.delta3 + OMEGA_M))
 
 
 def _golden_section(fun, a, b, tol):
@@ -95,10 +102,11 @@ def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=20
     """Optimum cooling detuning delta2p.
 
     mode="closed_form" returns J^2/(delta3 + omega_m).  mode="numeric" scans
-    delta2p over [-span*kappa, +span*kappa] and polishes the best bracket by
-    golden section to `tol`.  The objective is the phonon limit n_f
-    (minimized) or "net_rate" (Gamma_opt maximized).  Raises NoCoolingWindow
-    when no scanned detuning cools at all (n_f objective).
+    delta2p over [-span*kappa, +span*kappa] as one block of points and
+    polishes the best bracket by golden section to `tol`.  The objective is
+    the phonon limit n_f (minimized) or "net_rate" (Gamma_opt maximized).
+    Raises NoCoolingWindow when no scanned detuning cools at all (n_f
+    objective).
     """
     if mode == "closed_form":
         return closed_form_detuning(p)
@@ -108,7 +116,7 @@ def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=20
 
         def cost(delta):
             report = cooling_limit(p.replace(delta2p=delta))
-            return report.n_f if report.cooling else float("inf")
+            return unwrap(np.where(report.cooling, report.n_f, np.inf))
 
     elif objective == "net_rate":
 
@@ -119,7 +127,7 @@ def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=20
         raise ValueError(f"objective must be 'n_f' or 'net_rate', got {objective!r}")
 
     grid = np.linspace(-span * p.kappa, span * p.kappa, points)
-    values = np.array([cost(d) for d in grid])
+    values = cost(grid)
     if objective == "n_f" and not np.any(np.isfinite(values)):
         raise NoCoolingWindow(
             f"Gamma_opt <= 0 for every detuning in [{grid[0]:.3g}, {grid[-1]:.3g}]"

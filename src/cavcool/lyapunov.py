@@ -22,15 +22,20 @@ import numpy as np
 
 from . import cooling as cooling_mod
 from .errors import IllConditioned, Unstable
+from .params import unwrap
 from .response import OMEGA_M
 
 QUADRATURE_ORDER = ("X2", "Y2", "X3", "Y3", "q", "p")
+RESIDUAL_RTOL = 1e-10  # relative Lyapunov residual that a solve must meet
+# Kronecker systems (36x36 each) solved per stacked LAPACK call; bounds the
+# memory of a block's solve at about 2 MB.
+SOLVE_CHUNK = 64
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    drift: np.ndarray  # 6x6 real
-    diffusion: np.ndarray  # 6x6 real symmetric PSD
+    drift: np.ndarray  # (..., 6, 6) real
+    diffusion: np.ndarray  # (..., 6, 6) real symmetric PSD
 
 
 @dataclass(frozen=True)
@@ -43,66 +48,94 @@ class CovarianceResult:
 
 
 def build_model(p):
-    """Drift and diffusion matrices for NormalizedParams p (J, Omega_m real >= 0)."""
+    """Drift and diffusion matrices for NormalizedParams p (J, Omega_m real >= 0).
+
+    A block of points gives stacked matrices of shape p.shape + (6, 6).
+    """
     k2 = p.kappa / 2.0
     k3 = p.kappa3 / 2.0
     g2 = p.gamma / 2.0
     d2, d3 = p.delta2p, p.delta3
     om = 2.0 * p.Omega_m
-    a = np.array(
-        [
-            [-k2, -d2, 0.0, p.J, 0.0, 0.0],
-            [d2, -k2, -p.J, 0.0, om, 0.0],
-            [0.0, p.J, -k3, -d3, 0.0, 0.0],
-            [-p.J, 0.0, d3, -k3, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, -g2, OMEGA_M],
-            [om, 0.0, 0.0, 0.0, -OMEGA_M, -g2],
-        ]
+    rows = (
+        (-k2, -d2, 0.0, p.J, 0.0, 0.0),
+        (d2, -k2, -p.J, 0.0, om, 0.0),
+        (0.0, p.J, -k3, -d3, 0.0, 0.0),
+        (-p.J, 0.0, d3, -k3, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0, -g2, OMEGA_M),
+        (om, 0.0, 0.0, 0.0, -OMEGA_M, -g2),
     )
+    entries = np.broadcast_arrays(*(np.asarray(x, dtype=float) for row in rows for x in row))
+    drift = np.stack(entries, axis=-1).reshape(p.shape + (6, 6))
     d_mech = p.gamma * (2.0 * p.n_th + 1.0) / 2.0 + p.gamma_sc
-    diffusion = np.diag([k2, k2, k3, k3, d_mech, d_mech])
-    return LinearModel(drift=a, diffusion=diffusion)
+    diffusion = np.zeros(p.shape + (6, 6))
+    diagonal = np.arange(6)
+    entries = np.broadcast_arrays(k2, k2, k3, k3, d_mech, d_mech)
+    diffusion[..., diagonal, diagonal] = np.stack(entries, axis=-1)
+    return LinearModel(drift=drift, diffusion=diffusion)
 
 
 def eigen_stable(model):
-    """(stable, max real part) from the drift-matrix eigenvalues."""
-    eigenvalues = np.linalg.eigvals(model.drift)
-    max_real = float(np.max(eigenvalues.real))
-    return max_real < 0.0, max_real
+    """(stable, max real part) from the drift-matrix eigenvalues, per stacked model."""
+    max_real = np.linalg.eigvals(model.drift).real.max(axis=-1)
+    return unwrap(max_real < 0.0), unwrap(max_real)
 
 
-def solve_steady(model, rtol=1e-10):
+def _norm(m):
+    """Frobenius norm of each stacked matrix, summed as `np.linalg.norm` sums one."""
+    flat = m.reshape(-1, 1, m.shape[-2] * m.shape[-1])
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
+
+
+def solve_steady(model, rtol=RESIDUAL_RTOL):
     """Steady covariance from A V + V A^T + D = 0 via Kronecker vectorization.
 
     The system has 36 unknowns, so a dense solve is both simple and
-    effectively exact.  Raises Unstable when the drift has a nonnegative
-    eigenvalue real part and IllConditioned when the residual target is
-    missed.
+    effectively exact.  For a single model, raises Unstable when the drift
+    has a nonnegative eigenvalue real part and IllConditioned when the
+    residual target is missed.  For stacked models every field is an array:
+    an unstable point has NaN covariance, occupancy and residual, and an
+    ill-conditioned one (residual > rtol) a NaN occupancy.  Stacks are solved
+    SOLVE_CHUNK systems at a time; each point gets the bits of its own solve.
     """
     stable, max_real = eigen_stable(model)
-    if not stable:
+    if np.ndim(stable) == 0 and not stable:
         raise Unstable(max_real)
-    a = model.drift
-    d = model.diffusion
-    n = a.shape[0]
-    eye = np.eye(n)
-    # Row-major vec: vec(AV) = (A (x) I) vec(V), vec(V A^T) = (I (x) A) vec(V).
-    system = np.kron(a, eye) + np.kron(eye, a)
-    v = np.linalg.solve(system, -d.reshape(-1))
-    v = v.reshape(n, n)
-    v = 0.5 * (v + v.T)
-    residual = np.linalg.norm(a @ v + v @ a.T + d) / np.linalg.norm(d)
-    if residual > rtol:
-        raise IllConditioned(
-            f"Lyapunov residual {residual:.3e} exceeds target {rtol:.1e}"
+    shape = np.shape(stable)
+    a = model.drift.reshape(-1, 6, 6)
+    d = model.diffusion.reshape(-1, 6, 6)
+    v = np.full(a.shape, np.nan)
+    residual = np.full(len(a), np.nan)
+    eye = np.eye(6)
+    solvable = np.flatnonzero(np.reshape(stable, -1))
+    for start in range(0, solvable.size, SOLVE_CHUNK):
+        idx = solvable[start : start + SOLVE_CHUNK]
+        ai, di = a[idx], d[idx]
+        # Row-major vec: vec(AV) = (A (x) I) vec(V), vec(V A^T) = (I (x) A) vec(V).
+        kron_a_eye = ai[:, :, None, :, None] * eye[:, None, :]
+        kron_eye_a = eye[:, None, :, None] * ai[:, None, :, None, :]
+        system = kron_a_eye + kron_eye_a
+        vi = np.linalg.solve(system.reshape(-1, 36, 36), -di.reshape(-1, 36, 1)).reshape(-1, 6, 6)
+        vi = 0.5 * (vi + vi.swapaxes(-1, -2))
+        v[idx] = vi
+        residual[idx] = _norm(ai @ vi + vi @ ai.swapaxes(-1, -2) + di) / _norm(di)
+    n_phonon = (v[:, 4, 4] + v[:, 5, 5] - 1.0) / 2.0
+    if not shape:
+        if residual[0] > rtol:
+            raise IllConditioned(
+                f"Lyapunov residual {residual[0]:.3e} exceeds target {rtol:.1e}"
+            )
+        return CovarianceResult(
+            V=v[0], n_phonon=n_phonon.item(), stable=True,
+            max_real_eigenvalue=max_real, residual=residual.item(),
         )
-    n_phonon = float((v[4, 4] + v[5, 5] - 1.0) / 2.0)
+    n_phonon[residual > rtol] = np.nan
     return CovarianceResult(
-        V=v,
-        n_phonon=n_phonon,
-        stable=True,
+        V=v.reshape(shape + (6, 6)),
+        n_phonon=n_phonon.reshape(shape),
+        stable=stable,
         max_real_eigenvalue=max_real,
-        residual=float(residual),
+        residual=residual.reshape(shape),
     )
 
 

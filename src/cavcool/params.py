@@ -2,12 +2,17 @@
 
 Every analysis routine in this package consumes :class:`NormalizedParams`, in
 which all rates are measured in units of the mechanical frequency omega_m.
-:class:`PhysicalParams` (SI units) is optional sugar for users who start from
-a laboratory description of the sphere, trap, and cavities.
+Its fields may be floats or ndarrays that broadcast together; a params object
+with array fields is a block of parameter points, and every per-point routine
+evaluates the whole block at once.  :class:`PhysicalParams` (SI units) is
+optional sugar for users who start from a laboratory description of the
+sphere, trap, and cavities.
 """
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, ValidationError
 
@@ -69,7 +74,8 @@ class NormalizedParams:
 
     The phase convention rotates the drive phases away, so J and Omega_m are
     real and nonnegative.  gamma_sc is the photon-recoil phonon heating rate,
-    n_th the thermal bath occupancy.
+    n_th the thermal bath occupancy.  Each field is a float or an ndarray;
+    `shape` is the broadcast shape of all fields, () for a single point.
     """
 
     delta2p: float
@@ -90,21 +96,61 @@ class NormalizedParams:
         _require_nonnegative(self.J, "J")
         _require_nonnegative(self.Omega_m, "Omega_m")
         for name in ("delta2p", "delta3"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if _failures(value, np.isfinite(value)):
                 raise ValidationError(f"{name} must be finite")
+        shapes = {np.shape(getattr(self, k)) for k in RATE_KEYS}
+        try:
+            shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise ValidationError("parameter arrays do not broadcast to one shape")
+        object.__setattr__(self, "shape", shape)
 
     def replace(self, **changes):
         return replace(self, **changes)
 
 
+class SweptJ(NormalizedParams):
+    """NormalizedParams whose J values are the points of a swept J grid.
+
+    `response.chi_total` divides its coupled sum in numpy's complex order
+    for these and in CPython's order otherwise.  The two orders differ in
+    the last bit; fig5a and sweeps over a J axis use numpy's order, and the
+    golden digests in tests/test_golden.py pin those bytes.
+    """
+
+
+def _failures(value, ok):
+    """The elements of `value` where `ok` (a numpy bool or bool array) is false."""
+    if ok.all():
+        return []
+    return np.asarray(value)[~np.asarray(ok)].tolist() if np.ndim(value) else [value]
+
+
 def _require_positive(value, name):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    if bad := _failures(value, np.isfinite(value) & (value > 0.0)):
+        raise ValidationError(f"{name} must be positive and finite, got {bad[0]}")
 
 
 def _require_nonnegative(value, name):
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValidationError(f"{name} must be nonnegative and finite, got {value}")
+    if bad := _failures(value, np.isfinite(value) & (value >= 0.0)):
+        raise ValidationError(f"{name} must be nonnegative and finite, got {bad[0]}")
+
+
+def square(x):
+    """x**2 through C `pow`, elementwise.
+
+    Python's `float ** 2` calls `pow`, while numpy's `ndarray ** 2` multiplies
+    x*x; the two differ in the last bit for about 0.1% of values.  Squaring
+    parameter blocks with `pow` keeps each element bit-identical to the same
+    point evaluated on its own.
+    """
+    return np.float_power(x, 2.0)
+
+
+def unwrap(x):
+    """x as a Python scalar when it has no dimensions, else unchanged."""
+    return x.item() if getattr(x, "ndim", None) == 0 else x
 
 
 def sphere_volume(phys):
@@ -174,14 +220,14 @@ def x_zpf(phys):
 def j_sideband_preset(kappa_normalized):
     """J = sqrt(kappa * omega_m) in units of omega_m (figure-style choice)."""
     _require_positive(kappa_normalized, "kappa")
-    return math.sqrt(kappa_normalized)
+    return unwrap(np.sqrt(kappa_normalized))
 
 
 def j_input_output_preset(kappa_normalized, kappa3_normalized):
     """J = sqrt(kappa * kappa3), the input-output matched tunnel rate."""
     _require_positive(kappa_normalized, "kappa")
     _require_positive(kappa3_normalized, "kappa3")
-    return math.sqrt(kappa_normalized * kappa3_normalized)
+    return unwrap(np.sqrt(kappa_normalized * kappa3_normalized))
 
 
 def normalize(phys, steady):

@@ -5,11 +5,17 @@ kappa >> kappa3, gamma, J), it can be eliminated adiabatically, leaving an
 effective single-cavity optomechanical system made of the auxiliary mode and
 the sphere.  The effective parameters and the Routh-Hurwitz style stability
 inequalities below are exact consequences of that elimination.
+
+Every function evaluates a single point or a block of points (see
+`params.NormalizedParams`) and returns Python scalars for a single point.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .params import square, unwrap
 from .response import OMEGA_M
 
 
@@ -45,7 +51,8 @@ class StabilityVerdict:
 
 def effective_params(p, regime_factor=10.0):
     """Effective two-mode parameters (eta, Omega_eff, kappa_eff, Delta_eff)."""
-    eta = p.J / math.sqrt(p.delta2p**2 + (p.kappa / 2.0) ** 2)
+    with np.errstate(all="ignore"):
+        eta = p.J / np.sqrt(square(p.delta2p) + square(p.kappa / 2.0))
     checks = {
         "detuning_separation": abs(p.delta2p) >= regime_factor * abs(p.delta3),
         "kappa_dominates_kappa3": p.kappa >= regime_factor * p.kappa3,
@@ -53,18 +60,20 @@ def effective_params(p, regime_factor=10.0):
         "kappa_dominates_J": p.kappa >= regime_factor * p.J,
     }
     return EffectiveParams(
-        eta=eta,
-        Omega_eff=eta * p.Omega_m,
-        kappa_eff=p.kappa3 + eta**2 * p.kappa,
-        Delta_eff=p.delta3 - eta**2 * p.delta2p,
-        regime_ok=all(checks.values()),
-        checks=checks,
+        eta=unwrap(eta),
+        Omega_eff=unwrap(eta * p.Omega_m),
+        kappa_eff=unwrap(p.kappa3 + square(eta) * p.kappa),
+        Delta_eff=unwrap(p.delta3 - square(eta) * p.delta2p),
+        regime_ok=unwrap(np.logical_and.reduce(list(checks.values()))),
+        checks={name: unwrap(np.asarray(ok)) for name, ok in checks.items()},
     )
 
 
 def _general_criterion(delta, coupling, kappa):
     """Signed left side of  delta [16 delta |O|^2 + (4 delta^2 + kappa^2) w] < 0."""
-    return delta * (16.0 * delta * coupling**2 + (4.0 * delta**2 + kappa**2) * OMEGA_M)
+    return delta * (
+        16.0 * delta * square(coupling) + (4.0 * square(delta) + square(kappa)) * OMEGA_M
+    )
 
 
 def stability_single(p, at_optimum=False):
@@ -78,11 +87,11 @@ def stability_single(p, at_optimum=False):
     """
     if at_optimum:
         bound = p.kappa * OMEGA_M / 4.0
-        margin = (bound - p.Omega_m**2) / bound
-        return StabilityVerdict(margin > 0.0, margin, "single_at_optimum")
+        margin = (bound - square(p.Omega_m)) / bound
+        return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin), "single_at_optimum")
     lhs = _general_criterion(p.delta2p, p.Omega_m, p.kappa)
-    margin = -lhs / (p.kappa**2 * OMEGA_M)
-    return StabilityVerdict(margin > 0.0, margin, "single_general")
+    margin = -lhs / (square(p.kappa) * OMEGA_M)
+    return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin), "single_general")
 
 
 def stability_coupled(p, form="closed", regime_factor=10.0):
@@ -96,19 +105,20 @@ def stability_coupled(p, form="closed", regime_factor=10.0):
     degenerate: the criterion constrains nothing, so the verdict is stable
     with infinite margin.
     """
-    eff = effective_params(p, regime_factor)
-    if eff.eta == 0.0:
-        criterion = "coupled_closed" if form == "closed" else "coupled_effective"
-        return StabilityVerdict(True, float("inf"), criterion)
-    if form == "closed":
-        bound = (4.0 * OMEGA_M**2 + eff.kappa_eff**2) / (16.0 * eff.eta**2)
-        margin = (bound - p.Omega_m**2) / bound
-        return StabilityVerdict(margin > 0.0, margin, "coupled_closed")
-    if form != "effective":
+    if form not in ("closed", "effective"):
         raise ValueError(f"form must be 'closed' or 'effective', got {form!r}")
-    lhs = _general_criterion(eff.Delta_eff, eff.Omega_eff, eff.kappa_eff)
-    margin = -lhs / (eff.kappa_eff**2 * OMEGA_M)
-    return StabilityVerdict(margin > 0.0, margin, "coupled_effective")
+    eff = effective_params(p, regime_factor)
+    # eta**2 underflows to 0 for 0 < eta < ~1.5e-154; the bound is then inf
+    # and the margin NaN (not stable).
+    with np.errstate(all="ignore"):
+        if form == "closed":
+            bound = (4.0 * square(OMEGA_M) + square(eff.kappa_eff)) / (16.0 * square(eff.eta))
+            margin = (bound - square(p.Omega_m)) / bound
+        else:
+            lhs = _general_criterion(eff.Delta_eff, eff.Omega_eff, eff.kappa_eff)
+            margin = -lhs / (square(eff.kappa_eff) * OMEGA_M)
+    margin = np.where(np.asarray(eff.eta) == 0.0, np.inf, margin)
+    return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin), f"coupled_{form}")
 
 
 def minimum_coupled_bound(kappa, kappa3):

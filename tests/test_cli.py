@@ -58,6 +58,23 @@ class TestEmitCsv:
         with pytest.raises(Exception):
             cli.emit_csv([], ["x", "x"], tmp_path / "dup.csv")
 
+    def test_cell_text_per_type(self, tmp_path):
+        # Columns of one type and of mixed types format each cell by its type.
+        out = tmp_path / "types.csv"
+        rows = [
+            [0.1, True, "ok", np.float64(2.0), 3, -0.0],
+            [np.float64(1 / 3), np.False_, np.str_("unstable"), 7.5, np.int64(-4), float("inf")],
+        ]
+        cli.emit_csv(rows, ["a", "b", "c", "d", "e", "f"], out)
+        assert out.read_text().splitlines()[1:] == [
+            "0.10000000000000001,1,ok,2,3,-0",
+            "0.33333333333333331,0,unstable,7.5,-4,inf",
+        ]
+
+    def test_row_width_checked(self, tmp_path):
+        with pytest.raises(Exception, match="row width 1"):
+            cli.emit_csv([[1.0, 2.0], [1.0]], ["x", "y"], tmp_path / "w.csv")
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
         cli.emit_csv([[1.0]], ["x"], out)
@@ -248,6 +265,21 @@ class TestSweep:
         flags = {row[-1] for row in rows}
         assert "not_cooling" in flags  # red-detuned coupled preset heats
 
+    def test_sweep_size_cap(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "capped.csv"
+        argv = [
+            "sweep", "--config", config_path, "--out", str(out),
+            "--axis1", "kappa:10:100:4:log", "--axis2", "Omega_m:0.1:0.3:3:lin",
+            "--quantity", "n_f",
+        ]
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
+        assert cli.main(argv) == 2
+        assert "sweep of 12 points exceeds the limit of 11 points" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 12)
+        assert cli.main(argv) == 0
+        assert len(read_csv(out)[1]) == 12
+
     def test_ill_conditioned_point_is_flagged_not_fatal(self, tmp_path):
         # The single-cavity series at kappa = 100, Omega_m = 5 sits on the
         # edge Omega_m^2 = kappa/4, where the Lyapunov residual misses its
@@ -272,15 +304,23 @@ class TestSweep:
         assert flagged[0][3] == "nan"
 
     def test_one_model_and_eigen_decomposition_per_series(self, config_path, tmp_path, monkeypatch):
-        calls = {"build_model": 0, "eigen_stable": 0}
-        for name in calls:
-            original = getattr(lyapunov, name)
+        # The evaluator works on stacked (n, 6, 6) models, so count matrices,
+        # not calls: the leading batch size of each model built and of each
+        # model eigen-decomposed.
+        matrices = {"build_model": 0, "eigen_stable": 0}
+        build_model, eigen_stable = lyapunov.build_model, lyapunov.eigen_stable
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def counted_build(p):
+            model = build_model(p)
+            matrices["build_model"] += model.drift.shape[0]
+            return model
 
-            monkeypatch.setattr(lyapunov, name, counted)
+        def counted_eigen(model):
+            matrices["eigen_stable"] += model.drift.shape[0]
+            return eigen_stable(model)
+
+        monkeypatch.setattr(lyapunov, "build_model", counted_build)
+        monkeypatch.setattr(lyapunov, "eigen_stable", counted_eigen)
         rc = cli.main([
             "sweep", "--config", config_path, "--out", str(tmp_path / "w.csv"),
             "--axis1", "kappa:1:1000:6:log", "--axis2", "Omega_m:0.05:4:5:log",
@@ -290,7 +330,7 @@ class TestSweep:
         _, rows = read_csv(tmp_path / "w.csv")
         assert {row[-1] for row in rows} >= {"ok", "unstable"}
         # 30 rows, two series each: one model and one eigen-decomposition per series.
-        assert calls == {"build_model": 2 * 30, "eigen_stable": 2 * 30}
+        assert matrices == {"build_model": 2 * 30, "eigen_stable": 2 * 30}
 
 
 class TestFigurePresets:

@@ -138,6 +138,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             NormalizedParams(delta2p=0, delta3=0, kappa=1.0, kappa3=1.0, J=-1, Omega_m=0)
 
+    def test_array_fields_validated_per_element(self):
+        import numpy as np
+
+        base = dict(delta2p=0.0, delta3=0.0, kappa=1.0, kappa3=1.0, J=0.0, Omega_m=0.0)
+        block = NormalizedParams(**dict(base, kappa=np.array([1.0, 2.0]), J=np.zeros((3, 1))))
+        assert block.shape == (3, 2)
+        with pytest.raises(ValidationError, match="kappa must be positive and finite, got -2.0"):
+            NormalizedParams(**dict(base, kappa=np.array([1.0, -2.0, np.nan])))
+        with pytest.raises(ValidationError, match="delta3 must be finite"):
+            NormalizedParams(**dict(base, delta3=np.array([0.0, np.inf])))
+        with pytest.raises(ValidationError, match="do not broadcast"):
+            NormalizedParams(**dict(base, kappa=np.ones(2), J=np.ones(3)))
+
     def test_physical_rejects_epsilon_below_one(self):
         with pytest.raises(ValidationError):
             make_phys(epsilon=0.5)
