@@ -4,7 +4,6 @@ Every per-point function evaluates a single point or a block of points (see
 `params.NormalizedParams`) and returns Python scalars for a single point.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,59 +79,51 @@ def closed_form_detuning(p):
     return unwrap(square(p.J) / (p.delta3 + OMEGA_M))
 
 
-def _golden_section(fun, a, b, tol):
-    """Minimize a unimodal function on [a, b] to absolute tolerance tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=2001, tol=1e-6):
     """Optimum cooling detuning delta2p.
 
     mode="closed_form" returns J^2/(delta3 + omega_m).  mode="numeric" scans
-    delta2p over [-span*kappa, +span*kappa] as one block of points and
-    polishes the best bracket by golden section to `tol`.  The objective is
-    the phonon limit n_f (minimized) or "net_rate" (Gamma_opt maximized).
+    delta2p over [-span*kappa, +span*kappa] as one block of `points` points
+    and refines by block re-scan: the bracket between the best point's grid
+    neighbours is evaluated again as one block of 65 points (a block costs
+    about as much as one point) until it is at most `tol` wide, or no longer
+    shrinks at float spacing.  The best point evaluated is returned, so the
+    result is never worse than any point the search has seen.  The objective
+    is the phonon limit n_f (minimized) or "net_rate" (Gamma_opt maximized).
     Raises NoCoolingWindow when no scanned detuning cools at all (n_f
     objective).
     """
+    if not (np.isfinite(tol) and tol > 0.0 and np.isfinite(span) and span > 0.0):
+        raise ValueError(f"tol and span must be finite and > 0, got tol={tol!r}, span={span!r}")
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 3:
+        raise ValueError(f"points must be an integer >= 3, got {points!r}")
     if mode == "closed_form":
         return closed_form_detuning(p)
     if mode != "numeric":
         raise ValueError(f"mode must be 'closed_form' or 'numeric', got {mode!r}")
-    if objective == "n_f":
-
-        def cost(delta):
-            report = cooling_limit(p.replace(delta2p=delta))
-            return unwrap(np.where(report.cooling, report.n_f, np.inf))
-
-    elif objective == "net_rate":
-
-        def cost(delta):
-            return -net_rate(p.replace(delta2p=delta))
-
-    else:
+    costs = {
+        "n_f": lambda delta: cooling_limit(p.replace(delta2p=delta)).n_f,
+        "net_rate": lambda delta: -net_rate(p.replace(delta2p=delta)),
+    }
+    if objective not in costs:
         raise ValueError(f"objective must be 'n_f' or 'net_rate', got {objective!r}")
 
     grid = np.linspace(-span * p.kappa, span * p.kappa, points)
-    values = cost(grid)
+    values = costs[objective](grid)
     if objective == "n_f" and not np.any(np.isfinite(values)):
         raise NoCoolingWindow(
             f"Gamma_opt <= 0 for every detuning in [{grid[0]:.3g}, {grid[-1]:.3g}]"
         )
-    best = int(np.nanargmin(np.where(np.isfinite(values), values, np.inf)))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, points - 1)]
-    return _golden_section(cost, lo, hi, tol)
+    best_value = width = np.inf
+    while True:
+        # n_f is NaN where Gamma_opt <= 0; non-finite costs never win.
+        values = np.where(np.isfinite(values), values, np.inf)
+        i = int(np.argmin(values))
+        if values[i] <= best_value:
+            best, best_value = float(grid[i]), values[i]
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        if not tol < hi - lo < width:
+            return best
+        width = hi - lo
+        grid = np.linspace(lo, hi, 65)
+        values = costs[objective](grid)

@@ -108,12 +108,14 @@ def stability_coupled(p, form="closed", regime_factor=10.0):
     if form not in ("closed", "effective"):
         raise ValueError(f"form must be 'closed' or 'effective', got {form!r}")
     eff = effective_params(p, regime_factor)
-    # eta**2 underflows to 0 for 0 < eta < ~1.5e-154; the bound is then inf
-    # and the margin NaN (not stable).
     with np.errstate(all="ignore"):
         if form == "closed":
-            bound = (4.0 * square(OMEGA_M) + square(eff.kappa_eff)) / (16.0 * square(eff.eta))
+            scale = 4.0 * square(OMEGA_M) + square(eff.kappa_eff)
+            bound = scale / (16.0 * square(eff.eta))
             margin = (bound - square(p.Omega_m)) / bound
+            # For tiny eta (J -> 0+) 16 eta^2 underflows or the bound
+            # overflows, and inf/inf would be NaN: use the margin's other form.
+            margin = np.where(np.isinf(bound), 1.0 - 16.0 * square(eff.Omega_eff) / scale, margin)
         else:
             lhs = _general_criterion(eff.Delta_eff, eff.Omega_eff, eff.kappa_eff)
             margin = -lhs / (square(eff.kappa_eff) * OMEGA_M)

@@ -1,5 +1,7 @@
 """Cooling-rate and phonon-limit tests with independently computed oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import RECOIL_50NM, fig5_coupled, fig5_single
@@ -167,3 +169,120 @@ class TestOptimalDetuning:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             cooling.optimal_detuning(fig5_coupled(100.0), mode="magic")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"tol": float("nan")},
+            {"points": 1},
+            {"points": 2},
+            {"points": 2001.0},
+            {"span": 0.0},
+            {"span": -1.0},
+            {"span": float("inf")},
+        ],
+    )
+    def test_bad_arguments_rejected(self, bad):
+        with pytest.raises(ValueError):
+            cooling.optimal_detuning(fig5_coupled(100.0), mode="numeric", **bad)
+
+    def test_tolerance_below_float_spacing_returns(self):
+        p = fig5_coupled(100.0)
+        best = cooling.optimal_detuning(p, mode="numeric", tol=1e-300)
+        assert best == pytest.approx(cooling.optimal_detuning(p, mode="numeric"), abs=1e-5)
+
+
+def golden_section(fun, a, b, tol):
+    """Reference minimizer: golden section on [a, b] to absolute tolerance tol."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+    return 0.5 * (a + b)
+
+
+def bench_like_points(seed, count):
+    """Seeded points near the interference-optimal detuning, kappa in 10-316."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        kappa = 10 ** rng.uniform(1.0, 2.5)
+        j = math.sqrt(kappa) * rng.uniform(0.8, 1.2)
+        delta3 = rng.uniform(0.3, 0.8)
+        out.append(
+            NormalizedParams(
+                delta2p=j**2 / (delta3 + 1.0),
+                delta3=delta3,
+                kappa=kappa,
+                kappa3=rng.uniform(0.5, 2.0),
+                J=j,
+                Omega_m=rng.uniform(0.1, 0.4),
+                gamma=10 ** rng.uniform(-6.0, -4.0),
+                gamma_sc=RECOIL_50NM * rng.uniform(0.5, 2.0),
+            )
+        )
+    return out
+
+
+def objective_cost(objective, p, delta):
+    """Cost minimized by optimal_detuning: n_f (inf where not cooling) or -Gamma_opt."""
+    if objective == "n_f":
+        report = cooling.cooling_limit(p.replace(delta2p=delta))
+        return np.where(report.cooling, report.n_f, np.inf)
+    return -np.asarray(cooling.net_rate(p.replace(delta2p=delta)))
+
+
+class TestOptimiserRegression:
+    """Block re-scan against a fine scan and a golden-section reference.
+
+    span=0.3 puts the optimum (near kappa/1.5) outside the scanned range, so
+    the best scan point is the grid's right edge.
+    """
+
+    @pytest.mark.parametrize("span", [3.0, 0.3])
+    @pytest.mark.parametrize("objective", ["n_f", "net_rate"])
+    @pytest.mark.parametrize("p", bench_like_points(2024, 6))
+    def test_against_scan_golden_section_and_block_count(self, p, objective, span, monkeypatch):
+        tol, points = 1e-6, 2001
+        blocks = []
+
+        def counted(real):
+            def call(q, *args, **kwargs):
+                blocks.append(q)
+                return real(q, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cooling, "cooling_limit", counted(cooling.cooling_limit))
+        monkeypatch.setattr(cooling, "net_rate", counted(cooling.net_rate))
+        best = cooling.optimal_detuning(p, mode="numeric", objective=objective, span=span, points=points)
+        monkeypatch.undo()
+        assert all(np.ndim(q.delta2p) == 1 for q in blocks)
+        width = 2.0 * (2.0 * span * p.kappa / (points - 1))
+        assert len(blocks) <= 1 + math.ceil(math.log(width / tol) / math.log(32.0))
+
+        found = float(objective_cost(objective, p, best))
+        fine = np.linspace(-span * p.kappa, span * p.kappa, 60001)
+        target = float(np.min(objective_cost(objective, p, fine)))
+        assert found <= target + 1e-9 * abs(target)
+
+        grid = np.linspace(-span * p.kappa, span * p.kappa, points)
+        i = int(np.argmin(objective_cost(objective, p, grid)))
+        golden = golden_section(
+            lambda d: float(objective_cost(objective, p, d)),
+            grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], tol,
+        )
+        reference = float(objective_cost(objective, p, golden))
+        assert found <= reference + 1e-12 * abs(reference)
+        if span == 0.3:
+            assert i == points - 1

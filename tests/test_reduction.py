@@ -113,6 +113,13 @@ class TestStabilityCoupled:
         assert verdict.stable
         assert math.isinf(verdict.margin)
 
+    def test_vanishing_eta_is_stable_not_nan(self):
+        # 16 eta^2 underflows to 0 for J = 1e-300: the bound is out of float range.
+        p = NormalizedParams(delta2p=0.0, delta3=0.0, kappa=1.0, kappa3=1.0, J=1e-300, Omega_m=0.1)
+        verdict = reduction.stability_coupled(p, form="closed")
+        assert verdict.stable is True
+        assert verdict.margin == 1.0
+
     def test_minimum_bound_matches_direct_minimization(self):
         kappa, kappa3 = 137.0, 0.7
         eta_min = reduction.minimizing_eta(kappa, kappa3)
