@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cooling, lyapunov, params, reduction, response
+from . import cooling, invariants, lyapunov, params, reduction, response
 from .errors import (
     ConfigError,
     GridTooCoarse,
@@ -530,107 +530,66 @@ def _sidecar_path(out_path):
 # ---------------------------------------------------------------------------
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(20240817)
+def _random_block(rng, n):
+    """n random parameter points (one point for n = None)."""
+    return params.NormalizedParams(
+        delta2p=rng.uniform(-1e3, 1e3, n),
+        delta3=rng.uniform(-2.0, 2.0, n),
+        kappa=10 ** rng.uniform(0, 3, n),
+        kappa3=10 ** rng.uniform(-1, 1, n),
+        J=rng.uniform(0.0, 10 ** rng.uniform(0, 1.5, n)),
+        Omega_m=rng.uniform(0.0, 1.0, n),
+        gamma=10 ** rng.uniform(-6, -2, n),
+        gamma_sc=10 ** rng.uniform(-5, -2, n),
+        n_th=rng.uniform(0.0, 10.0, n),
+    )
 
-    def random_params():
-        return params.NormalizedParams(
-            delta2p=rng.uniform(-1e3, 1e3),
-            delta3=rng.uniform(-2.0, 2.0),
-            kappa=10 ** rng.uniform(0, 3),
-            kappa3=10 ** rng.uniform(-1, 1),
-            J=rng.uniform(0.0, 10 ** rng.uniform(0, 1.5)),
-            Omega_m=rng.uniform(0.0, 1.0),
-            gamma=10 ** rng.uniform(-6, -2),
-            gamma_sc=10 ** rng.uniform(-5, -2),
-            n_th=rng.uniform(0.0, 10.0),
-        )
 
-    def check_response_identity():
-        for _ in range(200):
-            p = random_params()
-            w = rng.uniform(-3, 3)
-            chi = response.chi_total(w, p)
-            lhs = 2.0 * chi.real
-            rhs = abs(chi) ** 2 * (
-                p.kappa + p.J**2 * p.kappa3 * abs(response.chi3(w, p)) ** 2
-            )
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+def _single_cavity_block(rng, n):
+    kappa = 10 ** rng.uniform(0, 3, n)
+    delta = rng.choice([-1.0, 1.0], n) * kappa * 10 ** rng.uniform(-2, 0.5, n)
+    return params.NormalizedParams(
+        delta2p=delta, delta3=0.5, kappa=kappa, kappa3=1.0, J=0.0,
+        Omega_m=rng.uniform(0.05, 3.0, n),
+    )
 
-    def check_rate_consistency():
-        for _ in range(200):
-            p = random_params()
-            gamma_two_way = -2.0 * response.self_energy(1.0, p).imag
-            gamma_rates = cooling.net_rate(p)
-            scale = sum(cooling.rates(p)) or 1.0
-            assert abs(gamma_two_way - gamma_rates) <= 1e-10 * scale
 
-    def check_lorentzian_reduction():
-        p = random_params().replace(J=0.0)
-        grid = np.linspace(-3, 3, 1001)
-        s = response.s_ff(grid, p)
-        lorentz = p.Omega_m**2 * p.kappa / ((grid + p.delta2p) ** 2 + p.kappa**2 / 4)
-        assert np.all(np.abs(s - lorentz) <= 1e-12 * np.abs(lorentz) + 1e-300)
-
-    def check_thermal_limit():
-        for _ in range(20):
-            p = random_params().replace(Omega_m=0.0, gamma=10 ** rng.uniform(-3, 0))
-            result = lyapunov.solve_steady(lyapunov.build_model(p))
-            expected = p.n_th + p.gamma_sc / p.gamma
-            assert abs(result.n_phonon - expected) <= 1e-10 * expected
-
-    def check_vacuum():
-        p = params.NormalizedParams(
-            delta2p=1.0, delta3=0.5, kappa=10.0, kappa3=1.0, J=2.0,
-            Omega_m=0.0, gamma=1e-3,
-        )
-        result = lyapunov.solve_steady(lyapunov.build_model(p))
-        assert abs(result.n_phonon) <= 1e-10
-
-    def check_stability_enlargement():
-        for _ in range(200):
-            kappa = 10 ** rng.uniform(0, 3)
-            kappa3 = 10 ** rng.uniform(-2, 1)
-            assert reduction.minimum_coupled_bound(kappa, kappa3) > kappa / 4.0
-
-    def check_single_criterion_grid():
-        bad = 0
-        for _ in range(200):
-            kappa = 10 ** rng.uniform(0, 3)
-            delta = rng.choice([-1.0, 1.0]) * kappa * 10 ** rng.uniform(-2, 0.5)
-            p = params.NormalizedParams(
-                delta2p=delta, delta3=0.5, kappa=kappa, kappa3=1.0, J=0.0,
-                Omega_m=rng.uniform(0.05, 3.0), gamma=0.0,
-            )
-            verdict = reduction.stability_single(p)
-            if abs(verdict.margin) < 1e-6:
-                continue
-            stable, _ = lyapunov.eigen_stable(lyapunov.build_model(p))
-            bad += stable != verdict.stable
-        assert bad == 0
-
-    return [
-        ("response interference identity", check_response_identity),
-        ("net rate two-way consistency", check_rate_consistency),
-        ("single-cavity Lorentzian reduction", check_lorentzian_reduction),
-        ("Lyapunov thermal limit", check_thermal_limit),
-        ("Lyapunov vacuum occupancy", check_vacuum),
-        ("coupled stability bound enlargement", check_stability_enlargement),
-        ("single-cavity criterion vs eigenvalues", check_single_criterion_grid),
-    ]
+# (name, invariant, bound, draw): `draw(rng)` gives the invariant's arguments.
+# The enlargement bound is the float below 1: the ratio must stay under 1.
+_SELFTEST = (
+    ("response interference identity", invariants.interference, 1e-12,
+     lambda rng: (_random_block(rng, 200), rng.uniform(-3, 3, 200))),
+    ("net rate two-way consistency", invariants.two_way_rate, 1e-10,
+     lambda rng: (_random_block(rng, 200),)),
+    ("single-cavity Lorentzian reduction", invariants.lorentzian, 1e-12,
+     lambda rng: (_random_block(rng, None), np.linspace(-3, 3, 1001))),
+    ("Lyapunov thermal limit", invariants.thermal_limit, 1e-10,
+     lambda rng: (_random_block(rng, 20).replace(gamma=10 ** rng.uniform(-3, 0, 20)),)),
+    ("Lyapunov vacuum occupancy", invariants.vacuum, 1e-10,
+     lambda rng: (params.NormalizedParams(
+         delta2p=1.0, delta3=0.5, kappa=10.0, kappa3=1.0, J=2.0, Omega_m=0.0, gamma=1e-3),)),
+    ("coupled stability bound enlargement", invariants.enlargement, math.nextafter(1.0, 0.0),
+     lambda rng: (10 ** rng.uniform(0, 3, 200), 10 ** rng.uniform(-2, 1, 200))),
+    ("single-cavity criterion vs eigenvalues", invariants.single_criterion, 0.0,
+     lambda rng: (_single_cavity_block(rng, 200),)),
+)
 
 
 def run_selftest(stream=None):
+    """One PASS/FAIL line per invariant; a check fails when its worst deviation
+    is above its bound or NaN.  Returns the number of failed checks."""
     stream = stream if stream is not None else sys.stdout
+    rng = np.random.default_rng(20240817)
     failures = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-        except AssertionError:
-            failures += 1
-            stream.write(f"FAIL  {name}\n")
-        else:
-            stream.write(f"PASS  {name}\n")
+    for name, invariant, bound, draw in _SELFTEST:
+        args = draw(rng)
+        worst = invariant(*args)
+        points = math.prod(np.broadcast_shapes(*(getattr(a, "shape", ()) for a in args)))
+        failures += not worst <= bound
+        stream.write(
+            f"{'PASS' if worst <= bound else 'FAIL'}  {name}  worst={worst:.3g} "
+            f"bound={bound!r} points={points}\n"
+        )
     stream.write(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}\n")
     return failures
 

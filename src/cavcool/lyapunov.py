@@ -66,7 +66,10 @@ def build_model(p):
         (om, 0.0, 0.0, 0.0, -OMEGA_M, -g2),
     )
     entries = np.broadcast_arrays(*(np.asarray(x, dtype=float) for row in rows for x in row))
-    drift = np.stack(entries, axis=-1).reshape(p.shape + (6, 6))
+    drift = np.stack(entries, axis=-1).reshape(entries[0].shape + (6, 6))
+    if drift.shape != p.shape + (6, 6):
+        # The block's shape comes from fields that the drift does not use.
+        drift = np.broadcast_to(drift, p.shape + (6, 6)).copy()
     d_mech = p.gamma * (2.0 * p.n_th + 1.0) / 2.0 + p.gamma_sc
     diffusion = np.zeros(p.shape + (6, 6))
     diagonal = np.arange(6)

@@ -10,7 +10,8 @@ Every function evaluates a single point or a block of points (see
 `params.NormalizedParams`) and returns Python scalars for a single point.
 """
 
-import math
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,8 @@ def effective_params(p, regime_factor=10.0):
         Omega_eff=unwrap(eta * p.Omega_m),
         kappa_eff=unwrap(p.kappa3 + square(eta) * p.kappa),
         Delta_eff=unwrap(p.delta3 - square(eta) * p.delta2p),
-        regime_ok=unwrap(np.logical_and.reduce(list(checks.values()))),
+        # `&` broadcasts a check on scalar fields against the array checks.
+        regime_ok=unwrap(functools.reduce(operator.and_, checks.values())),
         checks={name: unwrap(np.asarray(ok)) for name, ok in checks.items()},
     )
 
@@ -130,8 +132,8 @@ def minimum_coupled_bound(kappa, kappa3):
     attained at eta_min = (4 omega_m^2 + kappa3^2)^(1/4) / sqrt(kappa).
     Always exceeds the single-cavity bound kappa omega_m / 4.
     """
-    return kappa / 4.0 * math.sqrt(OMEGA_M**2 + kappa3**2 / 4.0) + kappa * kappa3 / 8.0
+    return unwrap(kappa / 4.0 * np.sqrt(OMEGA_M**2 + square(kappa3) / 4.0) + kappa * kappa3 / 8.0)
 
 
 def minimizing_eta(kappa, kappa3):
-    return (4.0 * OMEGA_M**2 + kappa3**2) ** 0.25 / math.sqrt(kappa)
+    return unwrap(np.float_power(4.0 * OMEGA_M**2 + square(kappa3), 0.25) / np.sqrt(kappa))

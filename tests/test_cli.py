@@ -1,11 +1,12 @@
 """CLI tests: subcommands, CSV discipline, presets, determinism, exit codes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cavcool import cli, lyapunov, params
+from cavcool import cli, lyapunov, params, reduction, response
 
 CONFIG = """
 delta2p = 66.666666666666667
@@ -400,9 +401,33 @@ class TestFigurePresets:
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(cli._SELFTEST) + 1
+        for line, (name, *_) in zip(lines, cli._SELFTEST):
+            assert re.fullmatch(rf"PASS  {name}  worst=\S+ bound=\S+ points=[1-9]\d*", line)
+        assert lines[-1] == "all checks passed"
+
+    def test_nan_at_one_point_fails(self, monkeypatch, capsys):
+        chi3 = response.chi3
+
+        def chi3_nan_at_second_point(omega, p):
+            out = np.array(chi3(omega, p))
+            out.flat[1] = np.nan
+            return out
+
+        monkeypatch.setattr(response, "chi3", chi3_nan_at_second_point)
+        assert cli.main(["selftest"]) == 3
+        # The invariant's worst is NaN, not the largest finite deviation.
         output = capsys.readouterr().out
-        assert "PASS" in output
-        assert "FAIL" not in output
+        assert "FAIL  response interference identity  worst=nan bound=1e-12 points=200" in output
+
+    def test_deviation_above_bound_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(reduction, "minimum_coupled_bound", lambda kappa, kappa3: kappa / 8.0)
+        assert cli.main(["selftest"]) == 3
+        output = capsys.readouterr().out
+        assert "FAIL  coupled stability bound enlargement  worst=2 " in output
+        assert output.count("FAIL") == 1
+        assert output.endswith("1 check(s) failed\n")
 
 
 class TestExitCodes:

