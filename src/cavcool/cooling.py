@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import response
-from .errors import NoCoolingWindow, NotCooling
+from .errors import NoCoolingWindow
 from .params import square, unwrap
 from .response import OMEGA_M
 
@@ -49,19 +49,15 @@ def spring_shift(p):
     return response.self_energy(OMEGA_M, p).real
 
 
-def cooling_limit(p, require_cooling=False):
+def cooling_limit(p):
     """Steady-state phonon limit n_f = (A_plus + gamma_sc) / Gamma_opt.
 
     The thermal-bath contribution gamma*n_th/Gamma_opt is deliberately not
     included; the Lyapunov oracle carries it and comparisons zero it out.
-    With `require_cooling` a nonpositive Gamma_opt (at any point of a block)
-    raises NotCooling instead of returning a flagged report.
     """
     a_minus, a_plus = rates(p)
     gamma_opt = a_minus - a_plus
     cooling = ~(np.asarray(gamma_opt) <= 0.0)
-    if require_cooling and not cooling.all():
-        raise NotCooling(float(np.asarray(gamma_opt)[~cooling].flat[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         n_q = np.where(cooling, np.divide(a_plus, gamma_opt), np.nan)
         n_c = np.where(cooling, np.divide(p.gamma_sc, gamma_opt), np.nan)

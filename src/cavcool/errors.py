@@ -25,26 +25,8 @@ class NonConvergence(RuntimeError):
         )
 
 
-class NotCooling(RuntimeError):
-    """Net cooling rate is nonpositive; occupancy formulas do not apply."""
-
-    def __init__(self, gamma_opt):
-        self.gamma_opt = gamma_opt
-        super().__init__(f"net cooling rate is not positive (Gamma_opt = {gamma_opt:.3e})")
-
-
 class NoCoolingWindow(RuntimeError):
     """No detuning in the scanned range produced a positive net cooling rate."""
-
-
-class Unstable(RuntimeError):
-    """Drift matrix has an eigenvalue with nonnegative real part."""
-
-    def __init__(self, max_real_eigenvalue):
-        self.max_real_eigenvalue = max_real_eigenvalue
-        super().__init__(
-            f"linear model is unstable (max Re eigenvalue = {max_real_eigenvalue:.3e})"
-        )
 
 
 class IllConditioned(RuntimeError):

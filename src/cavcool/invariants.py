@@ -46,26 +46,20 @@ def lorentzian(p, omega):
     return float(np.max(np.abs(s - lorentz) / np.maximum(lorentz, 1e-300)))
 
 
-def _steady(p):
-    """Every point's exact steady state, as a stack: NaN where a point fails."""
-    model = lyapunov.build_model(p)
-    return lyapunov.solve_steady(
-        lyapunov.LinearModel(model.drift.reshape(-1, 6, 6), model.diffusion.reshape(-1, 6, 6))
-    )
-
-
 def thermal_limit(p):
     """Relative deviation of the exact occupancy from n_th + gamma_sc / gamma at
     Omega_m = 0, where the sphere sees only its bath and the recoil heating."""
     p = p.replace(Omega_m=0.0)
     expected = p.n_th + p.gamma_sc / p.gamma
-    return float(np.max(np.abs(_steady(p).n_phonon.reshape(p.shape) - expected) / expected))
+    n_phonon = lyapunov.solve_steady(lyapunov.build_model(p)).n_phonon
+    return float(np.max(np.abs(n_phonon - expected) / expected))
 
 
 def vacuum(p):
     """Largest |V - I/2| of the exact covariance at Omega_m = n_th = gamma_sc = 0,
     where every mode is in its vacuum state (so n_phonon = 0)."""
-    v = _steady(p.replace(Omega_m=0.0, n_th=0.0, gamma_sc=0.0)).V
+    p = p.replace(Omega_m=0.0, n_th=0.0, gamma_sc=0.0)
+    v = lyapunov.solve_steady(lyapunov.build_model(p)).V
     return float(np.max(np.abs(v - 0.5 * np.eye(6))))
 
 

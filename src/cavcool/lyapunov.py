@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cooling as cooling_mod
-from .errors import IllConditioned, Unstable
 from .params import unwrap
 from .response import OMEGA_M
 
@@ -90,20 +89,18 @@ def _norm(m):
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
 
 
-def solve_steady(model, rtol=RESIDUAL_RTOL):
+def solve_steady(model):
     """Steady covariance from A V + V A^T + D = 0 via Kronecker vectorization.
 
     The system has 36 unknowns, so a dense solve is both simple and
-    effectively exact.  For a single model, raises Unstable when the drift
-    has a nonnegative eigenvalue real part and IllConditioned when the
-    residual target is missed.  For stacked models every field is an array:
-    an unstable point has NaN covariance, occupancy and residual, and an
-    ill-conditioned one (residual > rtol) a NaN occupancy.  Stacks are solved
-    SOLVE_CHUNK systems at a time; each point gets the bits of its own solve.
+    effectively exact.  An unstable point (a drift eigenvalue with
+    nonnegative real part) has NaN covariance, occupancy and residual, and an
+    ill-conditioned one (residual > RESIDUAL_RTOL) a NaN occupancy; nothing
+    raises.  A single model gives the fields of a one-point stack as Python
+    scalars.  Stacks are solved SOLVE_CHUNK systems at a time; each point
+    gets the bits of its own solve.
     """
     stable, max_real = eigen_stable(model)
-    if np.ndim(stable) == 0 and not stable:
-        raise Unstable(max_real)
     shape = np.shape(stable)
     a = model.drift.reshape(-1, 6, 6)
     d = model.diffusion.reshape(-1, 6, 6)
@@ -123,22 +120,13 @@ def solve_steady(model, rtol=RESIDUAL_RTOL):
         v[idx] = vi
         residual[idx] = _norm(ai @ vi + vi @ ai.swapaxes(-1, -2) + di) / _norm(di)
     n_phonon = (v[:, 4, 4] + v[:, 5, 5] - 1.0) / 2.0
-    if not shape:
-        if residual[0] > rtol:
-            raise IllConditioned(
-                f"Lyapunov residual {residual[0]:.3e} exceeds target {rtol:.1e}"
-            )
-        return CovarianceResult(
-            V=v[0], n_phonon=n_phonon.item(), stable=True,
-            max_real_eigenvalue=max_real, residual=residual.item(),
-        )
-    n_phonon[residual > rtol] = np.nan
+    n_phonon[residual > RESIDUAL_RTOL] = np.nan
     return CovarianceResult(
         V=v.reshape(shape + (6, 6)),
-        n_phonon=n_phonon.reshape(shape),
+        n_phonon=unwrap(n_phonon.reshape(shape)),
         stable=stable,
         max_real_eigenvalue=max_real,
-        residual=residual.reshape(shape),
+        residual=unwrap(residual.reshape(shape)),
     )
 
 
@@ -151,7 +139,8 @@ class OracleReport:
     n_rate restores it: (A_plus + gamma_sc + gamma n_th) / (Gamma_opt +
     gamma).  rel_dev compares the Lyapunov occupancy against n_rate, so it
     isolates the perturbative error instead of the known missing-gamma term;
-    rel_dev_formula is the deviation from the bare formula.
+    rel_dev_formula is the deviation from the bare formula.  For a block of
+    points the comparison fields are arrays.
     """
 
     kappa: float
@@ -162,28 +151,37 @@ class OracleReport:
     rel_dev: float
     rel_dev_formula: float
     stable: bool
+    residual: float
 
 
 def oracle_compare(p):
     """Compare the phonon-limit formula against the exact Lyapunov solve.
 
-    Requires net cooling (Gamma_opt > 0) and a stable drift; propagates
-    NotCooling / Unstable otherwise.
+    The occupancies and deviations are NaN unless the formula cools
+    (Gamma_opt > 0) and the drift is stable; an ill-conditioned solve gives
+    NaN n_lyapunov and deviations, with its residual reported.
     """
-    report = cooling_mod.cooling_limit(p, require_cooling=True)
-    n_rate = (report.A_plus + p.gamma_sc + p.gamma * p.n_th) / (report.Gamma_opt + p.gamma)
+    report = cooling_mod.cooling_limit(p)
     result = solve_steady(build_model(p))
-    n_ly = result.n_phonon
-    scale = abs(n_ly) if n_ly != 0.0 else 1.0
+    valid = np.logical_and(report.cooling, result.stable)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_rate = np.divide(
+            report.A_plus + p.gamma_sc + p.gamma * p.n_th, report.Gamma_opt + p.gamma
+        )
+    n_formula, n_rate, n_ly = (
+        np.where(valid, x, np.nan) for x in (report.n_f, n_rate, result.n_phonon)
+    )
+    scale = np.where(n_ly != 0.0, np.abs(n_ly), 1.0)
     return OracleReport(
         kappa=p.kappa,
         Omega_m=p.Omega_m,
-        n_formula=report.n_f,
-        n_rate=n_rate,
-        n_lyapunov=n_ly,
-        rel_dev=abs(n_ly - n_rate) / scale,
-        rel_dev_formula=abs(n_ly - report.n_f) / scale,
-        stable=True,
+        n_formula=unwrap(n_formula),
+        n_rate=unwrap(n_rate),
+        n_lyapunov=unwrap(n_ly),
+        rel_dev=unwrap(np.abs(n_ly - n_rate) / scale),
+        rel_dev_formula=unwrap(np.abs(n_ly - n_formula) / scale),
+        stable=result.stable,
+        residual=result.residual,
     )
 
 

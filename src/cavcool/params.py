@@ -93,6 +93,7 @@ class NormalizedParams:
         _require_positive(self.kappa3, "kappa3")
         _require_nonnegative(self.gamma, "gamma")
         _require_nonnegative(self.gamma_sc, "gamma_sc")
+        _require_nonnegative(self.n_th, "n_th")
         _require_nonnegative(self.J, "J")
         _require_nonnegative(self.Omega_m, "Omega_m")
         for name in ("delta2p", "delta3"):

@@ -20,16 +20,15 @@ inf.  At exactly those elements the reference, like the block, takes the
 margin as 1 - 16 (eta Omega_m)^2 / (4 + kappa_eff^2).
 """
 
+import dataclasses
 import math
 import struct
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from cavcool import cooling, lyapunov, reduction, response
-from cavcool.errors import Unstable
 from cavcool.params import NormalizedParams, SweptJ
 
 
@@ -276,11 +275,52 @@ def test_batched_solve_matches_per_matrix_solves(points):
         assert bits(result.residual[i]) == bits(residual)
 
 
-def test_single_model_raises_stack_flags():
-    point = dict(delta2p=50.0, delta3=0.5, kappa=100.0, kappa3=1.0, J=0.0, Omega_m=0.5,
-                 gamma=1e-5, gamma_sc=0.0, n_th=0.0)
-    with pytest.raises(Unstable):
-        lyapunov.solve_steady(lyapunov.build_model(NormalizedParams(**point)))
-    result = lyapunov.solve_steady(lyapunov.build_model(as_block([point, point])))
-    assert not result.stable.any()
-    assert np.isnan(result.n_phonon).all() and np.isnan(result.V).all()
+# Blue-detuned single cavity: unstable (Omega_m = 0.5), and stable but not
+# cooling (Omega_m = 0.01).
+UNSTABLE_POINT = dict(delta2p=50.0, delta3=0.5, kappa=100.0, kappa3=1.0, J=0.0, Omega_m=0.5,
+                      gamma=1e-5, gamma_sc=0.0, n_th=0.0)
+NOT_COOLING_POINT = dict(UNSTABLE_POINT, Omega_m=0.01)
+SOLVE_FIELDS = ("stable", "max_real_eigenvalue", "n_phonon", "residual")
+ORACLE_FIELDS = tuple(f.name for f in dataclasses.fields(lyapunov.OracleReport))
+ORACLE_NAN_FIELDS = ("n_formula", "n_rate", "n_lyapunov", "rel_dev", "rel_dev_formula")
+
+
+def test_single_model_and_stack_flag_unstable_alike():
+    single = lyapunov.solve_steady(lyapunov.build_model(NormalizedParams(**UNSTABLE_POINT)))
+    stack = lyapunov.solve_steady(lyapunov.build_model(as_block([UNSTABLE_POINT] * 2)))
+    assert single.stable is False and not stack.stable.any()
+    assert math.isnan(single.n_phonon) and np.isnan(stack.n_phonon).all()
+    assert math.isnan(single.residual) and np.isnan(stack.residual).all()
+    assert np.isnan(single.V).all() and np.isnan(stack.V).all()
+
+
+@SETTINGS
+@given(points=st.lists(LYAPUNOV_POINT, min_size=1, max_size=12))
+def test_single_point_is_a_one_point_block(points):
+    """solve_steady and oracle_compare never raise: a single model gives the
+    fields of a one-point stack as Python scalars, and a block gives each
+    point the bits of its own call, unstable and non-cooling points included."""
+    points = points + [UNSTABLE_POINT, NOT_COOLING_POINT]
+    block = as_block(points)
+    solved = lyapunov.solve_steady(lyapunov.build_model(block))
+    report = lyapunov.oracle_compare(block)
+    for i, pt in enumerate(points):
+        p = NormalizedParams(**pt)
+        single = lyapunov.solve_steady(lyapunov.build_model(p))
+        stack = lyapunov.solve_steady(lyapunov.build_model(as_block([pt])))
+        for name in SOLVE_FIELDS:
+            value = getattr(single, name)
+            assert type(value) is (bool if name == "stable" else float), name
+            assert bits(value) == bits(getattr(stack, name)[0]), name
+            assert bits(value) == bits(getattr(solved, name)[i]), name
+        assert single.V.tobytes() == stack.V[0].tobytes() == solved.V[i].tobytes()
+        one = lyapunov.oracle_compare(p)
+        for name in ORACLE_FIELDS:
+            value = getattr(one, name)
+            assert type(value) is (bool if name == "stable" else float), name
+            assert bits(value) == bits(np.broadcast_to(getattr(report, name), len(points))[i]), name
+        assert one.stable is single.stable
+        assert bits(one.residual) == bits(single.residual)
+        if not (single.stable and cooling.cooling_limit(p).cooling):
+            assert all(math.isnan(getattr(one, name)) for name in ORACLE_NAN_FIELDS)
+    event("a drawn point is unstable" if not solved.stable[:-2].all() else "drawn points stable")

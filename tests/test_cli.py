@@ -116,6 +116,20 @@ class TestSpectrumCommand:
         ])
         assert rc == 2
 
+    def test_grid_size_cap(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "capped.csv"
+        argv = [
+            "spectrum", "--config", config_path, "--out", str(out),
+            "--axis1", "omega:-3:3:12:lin",
+        ]
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
+        assert cli.main(argv) == 2
+        assert "spectrum of 12 points exceeds the limit of 11 points" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 12)
+        assert cli.main(argv) == 0
+        assert len(read_csv(out)[1]) == 12
+
     def test_determinism(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cli.main(["spectrum", "--config", config_path, "--out", str(out1)])
@@ -190,6 +204,23 @@ class TestPointCommands:
         _, rows = read_csv(out)
         assert rows[0][5] == "0"
         assert rows[0][3] == "nan"
+
+    def test_oracle_ill_conditioned_exits_3(self, tmp_path, capsys):
+        # The single-cavity point kappa = 100, Omega_m = 5 sits on the edge
+        # Omega_m^2 = kappa/4, where the Lyapunov residual misses its target.
+        config = tmp_path / "edge.cfg"
+        config.write_text(
+            "delta2p = 0\ndelta3 = 0.5\nkappa = 100\nkappa3 = 1\nJ = 10\n"
+            "Omega_m = 5\ngamma = 1e-5\n"
+        )
+        out = tmp_path / "oracle.csv"
+        rc = cli.main(["oracle", "--config", str(config), "--out", str(out), "--single-cavity"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"numeric failure: Lyapunov residual \d\.\d{3}e-\d\d exceeds target 1\.0e-10\n", err
+        )
+        assert not out.exists()
 
 
 class TestSweep:
@@ -441,6 +472,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["transmogrify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n_th", ["nan", "inf", "-3"])
+    def test_invalid_n_th_exits_2(self, tmp_path, capsys, n_th):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG + f"n_th = {n_th}\n")
+        out = tmp_path / "o.csv"
+        rc = cli.main(["limit", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert "n_th must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         rc = cli.main(["limit", "--config", str(tmp_path / "nope.cfg"),

@@ -148,6 +148,10 @@ class TestValidation:
             NormalizedParams(**dict(base, kappa=np.array([1.0, -2.0, np.nan])))
         with pytest.raises(ValidationError, match="delta3 must be finite"):
             NormalizedParams(**dict(base, delta3=np.array([0.0, np.inf])))
+        for bad in (np.nan, np.inf, -3.0):
+            message = f"n_th must be nonnegative and finite, got {bad}"
+            with pytest.raises(ValidationError, match=message):
+                NormalizedParams(**dict(base, n_th=np.array([0.0, bad])))
         with pytest.raises(ValidationError, match="do not broadcast"):
             NormalizedParams(**dict(base, kappa=np.ones(2), J=np.ones(3)))
 
