@@ -75,8 +75,10 @@ def emit_csv(rows, schema, path):
 
     Floats carry 17 significant digits so a parse-back reproduces them
     bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
-    `1`/`0`.  Cells are formatted a column at a time, CSV_CHUNK_ROWS rows
-    per chunk.
+    `1`/`0`.  Rows are written CSV_CHUNK_ROWS at a time, each with one
+    `%`-format string per chunk: a column of Python floats takes `%.17g`
+    itself, any other column is formatted by `_format_column` and taken
+    as `%s`.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
@@ -90,8 +92,16 @@ def emit_csv(rows, schema, path):
                         raise ValidationError(
                             f"row width {len(row)} does not match schema width {len(schema)}"
                         )
-                columns = [_format_column(cells) for cells in zip(*chunk)]
-                handle.writelines(",".join(cells) + "\n" for cells in zip(*columns))
+                columns = list(zip(*chunk))
+                fields = []
+                for k, cells in enumerate(columns):
+                    if set(map(type, cells)) == {float}:
+                        fields.append("%.17g")
+                    else:
+                        fields.append("%s")
+                        columns[k] = _format_column(cells)
+                row_format = ",".join(fields) + "\n"
+                handle.writelines(row_format % row for row in zip(*columns))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -230,17 +230,22 @@ def test_scalar_callers_get_python_scalars(point, omega):
 
 
 def ref_solve(drift, diffusion):
-    """(stable, max Re eig, n, residual) of one model, solved on its own."""
+    """(stable, max Re eig, V, residual) of one model, solved on its own
+    through the 36x36 Kronecker system (A (x) I + I (x) A) vec(V) = -vec(D)."""
     max_real = float(np.max(np.linalg.eigvals(drift).real))
     if not max_real < 0.0:
-        return False, max_real, math.nan, math.nan
+        return False, max_real, np.full((6, 6), np.nan), math.nan
     eye = np.eye(6)
     system = np.kron(drift, eye) + np.kron(eye, drift)
     v = np.linalg.solve(system, -diffusion.reshape(-1)).reshape(6, 6)
     v = 0.5 * (v + v.T)
     residual = np.linalg.norm(drift @ v + v @ drift.T + diffusion) / np.linalg.norm(diffusion)
-    n = (v[4, 4] + v[5, 5] - 1.0) / 2.0
-    return True, max_real, math.nan if residual > lyapunov.RESIDUAL_RTOL else n, residual
+    return True, max_real, v, residual
+
+
+def occupancy(v):
+    """Phonon occupancy of a covariance, before the residual mask."""
+    return (v[4, 4] + v[5, 5] - 1.0) / 2.0
 
 
 LYAPUNOV_POINT = st.fixed_dictionaries(
@@ -258,6 +263,24 @@ LYAPUNOV_POINT = st.fixed_dictionaries(
 )
 
 
+# The package solves for the 21 entries of the symmetric V and the reference
+# for all 36, so the two round differently.  The eigenvalue verdict matches
+# bit for bit.  The occupancies are NaN exactly where unstable and otherwise
+# differ by at most N_PHONON_FACTOR (n + 1/2) r, where n + 1/2 is the
+# mechanical variance that n is read from and r the larger of the two
+# residuals and RESIDUAL_FLOOR.  The package's residual is at most
+# RESIDUAL_FACTOR times the larger of the reference's and RESIDUAL_FLOOR.
+# Worst seen, on these draws and on 18,573 stable points drawn uniformly from
+# this domain: 0.98 and 1.3 (n + 1/2) r; residual ratio 5.5 and 49.  The
+# occupancy is compared before the residual mask because a point whose
+# residual lies at RESIDUAL_RTOL can fall on either side of it: delta2p =
+# delta3 = J = 0, kappa = kappa3 = Omega_m = 1, gamma = 10**-5.75 has a
+# Kronecker residual of 9.7e-11 and a package residual of 1.06e-10.
+N_PHONON_FACTOR = 10.0
+RESIDUAL_FACTOR = 500.0
+RESIDUAL_FLOOR = 1e-13
+
+
 @SETTINGS
 @given(points=st.lists(LYAPUNOV_POINT, min_size=1, max_size=lyapunov.SOLVE_CHUNK + 8))
 def test_batched_solve_matches_per_matrix_solves(points):
@@ -268,11 +291,17 @@ def test_batched_solve_matches_per_matrix_solves(points):
         single = lyapunov.build_model(NormalizedParams(**pt))
         assert model.drift[i].tobytes() == single.drift.tobytes()
         assert model.diffusion[i].tobytes() == single.diffusion.tobytes()
-        stable, max_real, n, residual = ref_solve(single.drift, single.diffusion)
+        stable, max_real, v, residual = ref_solve(single.drift, single.diffusion)
         assert bool(result.stable[i]) is stable
         assert bits(result.max_real_eigenvalue[i]) == bits(max_real)
-        assert bits(result.n_phonon[i]) == bits(n)
-        assert bits(result.residual[i]) == bits(residual)
+        n, n_ref = occupancy(result.V[i]), occupancy(v)
+        assert math.isnan(n) == math.isnan(n_ref) == (not stable), i
+        r = max(result.residual[i], residual, RESIDUAL_FLOOR)
+        assert not abs(n - n_ref) > N_PHONON_FACTOR * (abs(n_ref) + 0.5) * r, (i, n, n_ref)
+        assert math.isnan(result.residual[i]) == (not stable), i
+        assert not result.residual[i] > RESIDUAL_FACTOR * max(residual, RESIDUAL_FLOOR), i
+        masked = not result.residual[i] <= lyapunov.RESIDUAL_RTOL
+        assert bits(result.n_phonon[i]) == bits(math.nan if masked else n)
 
 
 # Blue-detuned single cavity: unstable (Omega_m = 0.5), and stable but not

@@ -2,9 +2,13 @@
 
 import math
 import re
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cavcool import cli, lyapunov, params, reduction, response
 
@@ -81,6 +85,54 @@ class TestEmitCsv:
         cli.emit_csv([[1.0]], ["x"], out)
         raw = out.read_bytes()
         assert b"\r" not in raw
+
+
+def float64(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(float64),
+    st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(
+        lambda sign_fraction: float64(sign_fraction[0] << 63 | sign_fraction[1])
+    ),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324]),
+)
+CELLS = {
+    "float": FLOAT64,
+    "np.float64": FLOAT64.map(np.float64),
+    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    "int": st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**63), 2**63 - 1).map(np.int64)),
+    "str": st.one_of(
+        st.sampled_from(["ok", "not_cooling", "unstable", "ill_conditioned", "%s", "%%"]),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n")),
+    ),
+}
+CELLS["mixed"] = st.one_of(*CELLS.values())
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*(CELLS[kind] for kind in kinds)), max_size=12))
+    return [f"c{k}" for k in range(len(kinds))], rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(table=tables(), chunk_rows=st.integers(1, 5))
+def test_rows_match_per_cell_formatting(tmp_path, table, chunk_rows):
+    """The row formatter writes the bytes of formatting each cell by its type
+    and joining them, for float64 bit patterns (NaN, +-inf, +-0, subnormals),
+    bool, int and str cells, mixed-type columns, and chunks that split a
+    column into all-float and mixed parts."""
+    schema, rows = table
+    columns = [cli._format_column(list(cells)) for cells in zip(*rows)]
+    expected = ",".join(schema) + "\n" + "".join(",".join(cells) + "\n" for cells in zip(*columns))
+    out = tmp_path / "table.csv"
+    with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
+        cli.emit_csv(rows, schema, out)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestSpectrumCommand:
