@@ -70,38 +70,70 @@ def _format_column(cells):
     return [_formatter(type(cell))(cell) for cell in cells]
 
 
+def _column_chunks(rows, width):
+    """`rows` as chunks of at most CSV_CHUNK_ROWS rows, each a list of columns.
+
+    A `_Rows` table gives slices of its block arrays; a row sequence is
+    transposed chunk by chunk, after each row's width is checked.
+    """
+    if isinstance(rows, _Rows):
+        for columns in rows.blocks:
+            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                yield [column[start : start + CSV_CHUNK_ROWS] for column in columns]
+        return
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+        for row in chunk:
+            if len(row) != width:
+                raise ValidationError(f"row width {len(row)} does not match schema width {width}")
+        yield list(zip(*chunk))
+
+
+def _column_field(cells):
+    """The `%` field of one column chunk and the cell values that fill it.
+
+    A float64 column, or a column of Python floats, takes `%.17g`.  When at
+    most half of its cells are distinct (by bits, so 0.0 and -0.0 and NaN
+    payloads stay apart), each distinct value is formatted with `%.17g` once
+    and the cells take its text through a `%s` field.  Any other column is
+    formatted by `_format_column` and taken as `%s`.
+    """
+    if not isinstance(cells, np.ndarray):
+        if set(map(type, cells)) != {float}:
+            return "%s", _format_column(cells)
+        cells = np.array(cells)
+    elif cells.dtype != np.float64:
+        return "%s", _format_column(cells.tolist())
+    distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) > len(cells):
+        return "%.17g", cells.tolist()
+    text = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
+    return "%s", text[inverse].tolist()
+
+
 def emit_csv(rows, schema, path):
-    """Write rows (sequences matching `schema`) as CSV with LF endings.
+    """Write rows (sequences matching `schema`, or a `_Rows` table) as CSV with LF endings.
 
     Floats carry 17 significant digits so a parse-back reproduces them
     bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
-    `1`/`0`.  Rows are written CSV_CHUNK_ROWS at a time, each with one
-    `%`-format string per chunk: a column of Python floats takes `%.17g`
-    itself, any other column is formatted by `_format_column` and taken
-    as `%s`.
+    `1`/`0`.  The rows are read as column chunks of at most CSV_CHUNK_ROWS
+    rows (see `_column_chunks`); each chunk column gets its field and
+    values from `_column_field`, and each row is written with one
+    `%`-format string per chunk.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(schema) + "\n")
-            rows = iter(rows)
-            while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-                for row in chunk:
-                    if len(row) != len(schema):
-                        raise ValidationError(
-                            f"row width {len(row)} does not match schema width {len(schema)}"
-                        )
-                columns = list(zip(*chunk))
-                fields = []
-                for k, cells in enumerate(columns):
-                    if set(map(type, cells)) == {float}:
-                        fields.append("%.17g")
-                    else:
-                        fields.append("%s")
-                        columns[k] = _format_column(cells)
-                row_format = ",".join(fields) + "\n"
-                handle.writelines(row_format % row for row in zip(*columns))
+            for columns in _column_chunks(rows, len(schema)):
+                if len(columns) != len(schema):
+                    raise ValidationError(
+                        f"{len(columns)} columns do not match schema width {len(schema)}"
+                    )
+                fields = [_column_field(cells) for cells in columns]
+                row_format = ",".join(field for field, _ in fields) + "\n"
+                handle.writelines(row_format % row for row in zip(*(values for _, values in fields)))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -223,9 +255,9 @@ def _block(p, shape):
 class _Rows:
     """Table rows held as blocks of equal-length column arrays.
 
-    Sized and re-iterable like a list of rows, so `emit_csv` takes it as
-    one; rows are made of Python scalars only as they are read.  Holding
-    columns instead of row objects keeps a sweep near 8 bytes per cell.
+    `emit_csv` writes it from column slices of the blocks, and `len` gives
+    its row count.  Holding columns instead of row objects keeps a sweep
+    near 8 bytes per cell.
     """
 
     def __init__(self, blocks):
@@ -233,12 +265,6 @@ class _Rows:
 
     def __len__(self):
         return sum(len(columns[0]) for columns in self.blocks)
-
-    def __iter__(self):
-        for columns in self.blocks:
-            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-                part = slice(start, start + CSV_CHUNK_ROWS)
-                yield from zip(*(np.asarray(column[part]).tolist() for column in columns))
 
 
 def _columns(*arrays):

@@ -80,6 +80,11 @@ class TestEmitCsv:
         with pytest.raises(Exception, match="row width 1"):
             cli.emit_csv([[1.0, 2.0], [1.0]], ["x", "y"], tmp_path / "w.csv")
 
+    def test_column_count_checked(self, tmp_path):
+        table = cli._Rows([[np.zeros(3), np.zeros(3)], [np.zeros(2)]])
+        with pytest.raises(cli.ValidationError, match="1 columns do not match schema width 2"):
+            cli.emit_csv(table, ["x", "y"], tmp_path / "w.csv")
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
         cli.emit_csv([[1.0]], ["x"], out)
@@ -111,28 +116,57 @@ CELLS = {
 CELLS["mixed"] = st.one_of(*CELLS.values())
 
 
+SIGNED_ZEROS = [0.0, -0.0]
+NANS = [math.nan, float64(0x7FF8000000000001), float64(0xFFF4000000000000)]
+# A float column's cells come from a small pool, so a chunk column may repeat
+# values; one column always mixes signed zeros and NaNs of several payloads.
+FLOAT_POOLS = {
+    "float": st.lists(FLOAT64, min_size=1, max_size=4),
+    "np.float64": st.lists(FLOAT64.map(np.float64), min_size=1, max_size=4),
+    "zeros": st.sampled_from([SIGNED_ZEROS, SIGNED_ZEROS + NANS]),
+}
+# Array dtype of each kind's column in a `_Rows` table.
+DTYPES = {"float": np.float64, "np.float64": np.float64, "zeros": np.float64, "bool": bool}
+
+
 @st.composite
 def tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
-    rows = draw(st.lists(st.tuples(*(CELLS[kind] for kind in kinds)), max_size=12))
-    return [f"c{k}" for k in range(len(kinds))], rows
+    """(schema, rows, the same rows as a `_Rows` table of blocks of unequal length)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    kinds.insert(draw(st.integers(0, len(kinds))), "zeros")
+    cells = [
+        st.sampled_from(draw(FLOAT_POOLS[kind])) if kind in FLOAT_POOLS else CELLS[kind]
+        for kind in kinds
+    ]
+    rows = draw(st.lists(st.tuples(*cells), max_size=16))
+    columns = [
+        np.array([row[k] for row in rows], dtype=DTYPES.get(kind, object))
+        for k, kind in enumerate(kinds)
+    ]
+    cuts = [0] + sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3))) + [len(rows)]
+    blocks = [[column[a:b] for column in columns] for a, b in zip(cuts, cuts[1:])]
+    return [f"c{k}" for k in range(len(kinds))], rows, cli._Rows(blocks)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(table=tables(), chunk_rows=st.integers(1, 5))
+@given(table=tables(), chunk_rows=st.integers(1, 8))
 def test_rows_match_per_cell_formatting(tmp_path, table, chunk_rows):
-    """The row formatter writes the bytes of formatting each cell by its type
+    """The CSV writer writes the bytes of formatting each cell by its type
     and joining them, for float64 bit patterns (NaN, +-inf, +-0, subnormals),
     bool, int and str cells, mixed-type columns, and chunks that split a
-    column into all-float and mixed parts."""
-    schema, rows = table
+    column into all-float and mixed parts.  The same table is written from
+    rows and from column blocks (float64, bool and object arrays); float
+    columns repeat values from small pools, so chunk columns with few and
+    with many distinct values both occur."""
+    schema, rows, column_table = table
     columns = [cli._format_column(list(cells)) for cells in zip(*rows)]
     expected = ",".join(schema) + "\n" + "".join(",".join(cells) + "\n" for cells in zip(*columns))
     out = tmp_path / "table.csv"
-    with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
-        cli.emit_csv(rows, schema, out)
-    assert out.read_bytes() == expected.encode("utf-8")
+    for written in (rows, column_table):
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
+            cli.emit_csv(written, schema, out)
+        assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestSpectrumCommand:

@@ -1,6 +1,7 @@
-"""Property tests: every identity of `cavcool.invariants` over the whole domain.
+"""Property tests: every identity of `cavcool.invariants` over the whole domain,
+and S_ff finite and nonnegative.
 
-The response identities take the bit-contract domain (kappa, kappa3 in
+The response identities and S_ff take the bit-contract domain (kappa, kappa3 in
 [1e-6, 1e6], J = 0 and down to 1e-300, |delta2p| up to 3e6), the
 single-cavity criterion puts Omega_m on its stability edge, and kappa runs
 up to 1e6 throughout.  Bounds are the unit tests'.  The limits:
@@ -24,7 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_bit_contract import BLOCK, SETTINGS, as_block, log_uniform, with_zero
 
-from cavcool import invariants
+from cavcool import invariants, response
 from cavcool.params import NormalizedParams
 
 
@@ -36,6 +37,13 @@ from cavcool.params import NormalizedParams
 def test_response_identity(name, bound, points, omega):
     args = () if name == "two_way_rate" else (omega,)
     assert getattr(invariants, name)(as_block(points), *args) <= bound
+
+
+@SETTINGS
+@given(points=BLOCK, omega=st.floats(-1e3, 1e3))
+def test_s_ff_finite_and_nonnegative(points, omega):
+    s = response.s_ff(omega, as_block(points))
+    assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
 
 
 KAPPA = log_uniform(1e-6, 1e6)
