@@ -1,24 +1,17 @@
 """Coupled-cavity cooling analysis for an optically levitated nanosphere.
 
-Mean-field steady state, coupled-cavity response and force-noise spectrum,
-cooling rates and phonon limits, effective two-mode reduction with stability
-criteria, and an exact Lyapunov-equation covariance oracle, plus a CLI for
-parameter sweeps and figure-style data sets.
+Normalized parameter model and config format, coupled-cavity response and
+force-noise spectrum, cooling rates and phonon limits, effective two-mode
+reduction with stability criteria, and an exact Lyapunov-equation covariance
+oracle, plus a CLI for parameter sweeps and figure-style data sets.
 """
 
 from .params import (
     NormalizedParams,
-    PhysicalParams,
-    coupling_g,
-    gamma_sc,
-    j_input_output_preset,
     j_sideband_preset,
     load_config,
-    normalize,
     parse_config,
-    x_zpf,
 )
-from .steadystate import SteadyState, linear_point, solve_mean_fields
 from .response import chi2, chi3, chi_m, chi_total, find_extrema, s_ff, self_energy, spectrum_scan
 from .cooling import CoolingReport, cooling_limit, net_rate, optimal_detuning, rates, spring_shift
 from .reduction import (

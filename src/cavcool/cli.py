@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cooling, invariants, lyapunov, params, reduction, response
-from .errors import IllConditioned, ValidationError
+from .errors import ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -737,9 +737,12 @@ def _dispatch(args):
     if args.subcommand == "oracle":
         r = lyapunov.oracle_compare(base)
         if r.residual > lyapunov.RESIDUAL_RTOL:
-            raise IllConditioned(
-                f"Lyapunov residual {r.residual:.3e} exceeds target {lyapunov.RESIDUAL_RTOL:.1e}"
+            print(
+                f"numeric failure: Lyapunov residual {r.residual:.3e} "
+                f"exceeds target {lyapunov.RESIDUAL_RTOL:.1e}",
+                file=sys.stderr,
             )
+            return EXIT_NUMERIC
         emit_csv(
             [[r.kappa, r.Omega_m, r.n_formula, r.n_lyapunov, r.rel_dev, r.stable]],
             ["kappa", "Omega_m", "n_f_formula", "n_lyapunov", "rel_dev", "stable"],
@@ -779,9 +782,6 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except IllConditioned as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,12 +1,12 @@
-"""Parameter models and the conversions between laboratory and normalized units.
+"""The normalized parameter model, the recoil-heating rate, and the config format.
 
 Every analysis routine in this package consumes :class:`NormalizedParams`, in
 which all rates are measured in units of the mechanical frequency omega_m.
 Its fields may be floats or ndarrays that broadcast together; a params object
 with array fields is a block of parameter points, and every per-point routine
-evaluates the whole block at once.  :class:`PhysicalParams` (SI units) is
-optional sugar for users who start from a laboratory description of the
-sphere, trap, and cavities.
+evaluates the whole block at once.  The only SI input is the config's
+sphere description (radius_nm, epsilon, lambda_um), from which
+:func:`recoil_heating` derives gamma_sc.
 """
 
 import math
@@ -15,57 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-
-HBAR = 1.054571817e-34  # J s
-C_LIGHT = 299792458.0  # m / s
-SILICA_DENSITY = 2200.0  # kg / m^3, default sphere material
-
-# Mode volume convention for a standing-wave Gaussian cavity mode,
-# V_c = MODE_VOLUME_FACTOR * w^2 * L.
-MODE_VOLUME_FACTOR = math.pi / 4.0
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Laboratory-unit description of sphere, trap, cavities, and drives.
-
-    Lengths in meters, densities in kg/m^3, rates and drive amplitudes in
-    rad/s.  E1 drives the trap mode, E2 the cooling mode, E3 the auxiliary
-    cavity; J is the tunnel coupling between the two cavities.
-    """
-
-    radius: float
-    omega_m: float
-    kappa: float
-    kappa3: float
-    E1: complex
-    E2: complex = 0.0
-    E3: complex = 0.0
-    delta1: float = 0.0
-    delta2: float = 0.0
-    delta3: float = 0.0
-    J: complex = 0.0
-    gamma: float = 0.0
-    n_th: float = 0.0
-    density: float = SILICA_DENSITY
-    epsilon: float = 2.0
-    wavelength: float = 1.0e-6
-    cavity_length: float = 1.0e-2
-    waist: float = 25.0e-6
-
-    def __post_init__(self):
-        _require_positive(self.radius, "radius")
-        _require_positive(self.density, "density")
-        _require_positive(self.wavelength, "wavelength")
-        _require_positive(self.cavity_length, "cavity_length")
-        _require_positive(self.waist, "waist")
-        _require_positive(self.omega_m, "omega_m")
-        _require_positive(self.kappa, "kappa")
-        _require_positive(self.kappa3, "kappa3")
-        _require_nonnegative(self.gamma, "gamma")
-        _require_nonnegative(self.n_th, "n_th")
-        if not self.epsilon > 1.0:
-            raise ValidationError(f"epsilon must exceed 1, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -154,23 +103,6 @@ def unwrap(x):
     return x.item() if getattr(x, "ndim", None) == 0 else x
 
 
-def sphere_volume(phys):
-    return (4.0 / 3.0) * math.pi * phys.radius**3
-
-
-def mass(phys):
-    return phys.density * sphere_volume(phys)
-
-
-def wavenumber(phys):
-    return 2.0 * math.pi / phys.wavelength
-
-
-def polarizability_factor(phys):
-    """(eps - 1) / (eps + 2), the Clausius-Mossotti factor."""
-    return (phys.epsilon - 1.0) / (phys.epsilon + 2.0)
-
-
 def recoil_heating(radius, epsilon=2.0, wavelength=1.0e-6):
     """Photon-recoil heating rate in units of omega_m, from SI inputs.
 
@@ -191,65 +123,10 @@ def recoil_heating(radius, epsilon=2.0, wavelength=1.0e-6):
     )
 
 
-def gamma_sc(phys):
-    """Photon-recoil heating rate of a physical configuration, in units of omega_m."""
-    return recoil_heating(phys.radius, phys.epsilon, phys.wavelength)
-
-
-def mode_volume(phys, factor=MODE_VOLUME_FACTOR):
-    return factor * phys.waist**2 * phys.cavity_length
-
-
-def coupling_g(phys, mode_volume_factor=MODE_VOLUME_FACTOR):
-    """Single-photon optomechanical frequency scale g in rad/s.
-
-    g = (3 V / 4 V_c) * (eps-1)/(eps+2) * omega_L with omega_L the optical
-    drive frequency 2 pi c / lambda.  The mode volume convention V_c is
-    configurable because the choice (standing wave vs ring) varies between
-    laboratories.
-    """
-    omega_laser = 2.0 * math.pi * C_LIGHT / phys.wavelength
-    v_ratio = 3.0 * sphere_volume(phys) / (4.0 * mode_volume(phys, mode_volume_factor))
-    return v_ratio * polarizability_factor(phys) * omega_laser
-
-
-def x_zpf(phys):
-    """Zero-point position spread sqrt(hbar / 2 m omega_m) in meters."""
-    return math.sqrt(HBAR / (2.0 * mass(phys) * phys.omega_m))
-
-
 def j_sideband_preset(kappa_normalized):
     """J = sqrt(kappa * omega_m) in units of omega_m (figure-style choice)."""
     _require_positive(kappa_normalized, "kappa")
     return unwrap(np.sqrt(kappa_normalized))
-
-
-def j_input_output_preset(kappa_normalized, kappa3_normalized):
-    """J = sqrt(kappa * kappa3), the input-output matched tunnel rate."""
-    _require_positive(kappa_normalized, "kappa")
-    _require_positive(kappa3_normalized, "kappa3")
-    return unwrap(np.sqrt(kappa_normalized * kappa3_normalized))
-
-
-def normalize(phys, steady):
-    """Build NormalizedParams from a physical description and its mean-field state.
-
-    Divides every rate by omega_m and applies the phase convention that makes
-    J and Omega_m real nonnegative.  `steady` supplies the shifted detuning
-    delta2p (rad/s) and effective coupling Omega_m (rad/s, possibly complex).
-    """
-    w = phys.omega_m
-    return NormalizedParams(
-        delta2p=steady.delta2p / w,
-        delta3=phys.delta3 / w,
-        kappa=phys.kappa / w,
-        kappa3=phys.kappa3 / w,
-        J=abs(phys.J) / w,
-        Omega_m=abs(steady.Omega_m) / w,
-        gamma=phys.gamma / w,
-        gamma_sc=gamma_sc(phys),
-        n_th=phys.n_th,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +160,9 @@ def parse_config(text):
     hard error.  With `omega_m_units = si` the rate keys are read as rad/s
     and divided by the mandatory `omega_m` key; the default mode
     (`normalized`) reads them as multiples of omega_m directly.  gamma_sc
-    may be omitted and derived from the physical keys (radius_nm, epsilon,
-    lambda_um) when those are present.
+    may be omitted and derived from all three physical keys (radius_nm,
+    epsilon, lambda_um); a partial set, or physical keys beside gamma_sc,
+    is an error.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -337,9 +215,20 @@ def parse_config(text):
     rates["gamma"] = numbers.get("gamma", 0.0) / scale
     rates["n_th"] = numbers.get("n_th", 0.0)
 
+    physical = [k for k in PHYSICAL_KEYS if k in numbers]
     if "gamma_sc" in numbers:
+        if physical:
+            raise ConfigError(
+                f"gamma_sc is given, so {', '.join(physical)} would be ignored; "
+                "give one or the other"
+            )
         rates["gamma_sc"] = numbers["gamma_sc"] / scale
-    elif {"radius_nm", "epsilon", "lambda_um"} <= numbers.keys():
+    elif physical:
+        if missing := [k for k in PHYSICAL_KEYS if k not in numbers]:
+            raise ConfigError(
+                f"physical keys {', '.join(physical)} given without {', '.join(missing)}; "
+                "deriving gamma_sc needs all three"
+            )
         rates["gamma_sc"] = _gamma_sc_from_config(numbers)
     else:
         rates["gamma_sc"] = 0.0
@@ -352,6 +241,8 @@ def parse_config(text):
 
 def _gamma_sc_from_config(numbers):
     try:
+        _require_positive(numbers["radius_nm"], "radius_nm")
+        _require_positive(numbers["lambda_um"], "lambda_um")
         return recoil_heating(
             numbers["radius_nm"] * 1e-9,
             numbers["epsilon"],
