@@ -111,6 +111,8 @@ def recoil_heating(radius, epsilon=2.0, wavelength=1.0e-6):
     """
     _require_positive(radius, "radius")
     _require_positive(wavelength, "wavelength")
+    if not math.isfinite(epsilon):
+        raise ValidationError(f"epsilon must be finite, got {epsilon}")
     if not epsilon > 1.0:
         raise ValidationError(f"epsilon must exceed 1, got {epsilon}")
     volume = (4.0 / 3.0) * math.pi * radius**3

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cavcool import params
@@ -36,10 +37,42 @@ class TestGammaSc:
         scaled = params.recoil_heating(100e-9, 2.0, 2e-6)
         assert scaled == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0,), "radius must be positive and finite, got 0.0"),
+            ((-50e-9,), "radius must be positive and finite, got -5e-08"),
+            ((math.inf,), "radius must be positive and finite, got inf"),
+            ((math.nan,), "radius must be positive and finite, got nan"),
+            ((50e-9, 2.0, 0.0), "wavelength must be positive and finite, got 0.0"),
+            ((50e-9, 2.0, -1e-6), "wavelength must be positive and finite, got -1e-06"),
+            ((50e-9, 2.0, math.inf), "wavelength must be positive and finite, got inf"),
+            ((50e-9, 2.0, math.nan), "wavelength must be positive and finite, got nan"),
+            ((50e-9, 1.0), "epsilon must exceed 1, got 1.0"),
+            ((50e-9, 0.5), "epsilon must exceed 1, got 0.5"),
+            ((50e-9, math.inf), "epsilon must be finite, got inf"),
+            ((50e-9, math.nan), "epsilon must be finite, got nan"),
+        ],
+    )
+    def test_rejects_bad_input_by_name(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            params.recoil_heating(*args)
+
 
 class TestJPresets:
     def test_sideband_preset(self):
         assert params.j_sideband_preset(100.0) == pytest.approx(10.0)
+
+    def test_sideband_preset_scalar_and_block(self):
+        # A scalar kappa gives a Python float; a kappa grid gives J per element.
+        assert type(params.j_sideband_preset(4.0)) is float
+        kappas = np.array([1.0, 25.0, 400.0])
+        np.testing.assert_array_equal(params.j_sideband_preset(kappas), [1.0, 5.0, 20.0])
+
+    @pytest.mark.parametrize("kappa", [0.0, -100.0, math.inf, math.nan])
+    def test_sideband_preset_rejects_bad_kappa(self, kappa):
+        with pytest.raises(ValidationError, match="kappa must be positive and finite"):
+            params.j_sideband_preset(kappa)
 
 
 class TestValidation:
@@ -51,9 +84,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             NormalizedParams(delta2p=0, delta3=0, kappa=1.0, kappa3=1.0, J=-1, Omega_m=0)
 
-    def test_array_fields_validated_per_element(self):
-        import numpy as np
+    def test_replace_revalidates(self):
+        p = NormalizedParams(delta2p=0, delta3=0, kappa=1.0, kappa3=1.0, J=0, Omega_m=0)
+        assert p.replace(kappa=2.0).kappa == 2.0
+        with pytest.raises(ValidationError, match="gamma must be nonnegative"):
+            p.replace(gamma=-1e-3)
 
+    def test_array_fields_validated_per_element(self):
         base = dict(delta2p=0.0, delta3=0.0, kappa=1.0, kappa3=1.0, J=0.0, Omega_m=0.0)
         block = NormalizedParams(**dict(base, kappa=np.array([1.0, 2.0]), J=np.zeros((3, 1))))
         assert block.shape == (3, 2)
@@ -159,11 +196,62 @@ class TestConfig:
             ("epsilon", 0.5, "epsilon must exceed 1, got 0.5"),
             ("radius_nm", 0, "radius_nm must be positive and finite, got 0.0"),
             ("lambda_um", -1, "lambda_um must be positive and finite, got -1.0"),
+            ("epsilon", "inf", "epsilon must be finite, got inf"),
+            ("epsilon", "nan", "epsilon must be finite, got nan"),
+            ("radius_nm", "nan", "radius_nm must be positive and finite, got nan"),
+            ("lambda_um", "inf", "lambda_um must be positive and finite, got inf"),
         ],
     )
     def test_bad_physical_value_names_key(self, key, value, message):
         with pytest.raises(ConfigError, match=message):
             params.parse_config(CONFIG_RATES + physical_keys(**{key: value}))
+
+    def test_si_mode_leaves_derived_gamma_sc_unscaled(self):
+        # recoil_heating already returns gamma_sc in units of omega_m.
+        omega_m = 2 * math.pi * 0.5e6
+        rates = "".join(
+            f"{k} = {v * omega_m}\n"
+            for k, v in (("delta2p", 0.0), ("delta3", 0.5), ("kappa", 100.0),
+                         ("kappa3", 1.0), ("J", 10.0), ("Omega_m", 0.25))
+        )
+        si = params.parse_config(f"omega_m_units = si\nomega_m = {omega_m}\n" + rates + physical_keys())
+        normalized = params.parse_config(CONFIG_RATES + physical_keys())
+        assert si.gamma_sc == normalized.gamma_sc
+
+    def test_si_mode_scales_damping_but_not_occupancy(self):
+        text = (
+            "omega_m_units = si\nomega_m = 4\n" + CONFIG_RATES
+            + "gamma = 2\ngamma_sc = 1\nn_th = 3\n"
+        )
+        p = params.parse_config(text)
+        assert (p.kappa, p.gamma, p.gamma_sc, p.n_th) == (25.0, 0.5, 0.25, 3.0)
+
+    @pytest.mark.parametrize("omega_m", ["0", "-1e6", "inf", "nan"])
+    def test_si_mode_rejects_bad_omega_m(self, omega_m):
+        text = f"omega_m_units = si\nomega_m = {omega_m}\n" + CONFIG_RATES
+        with pytest.raises(ConfigError, match="omega_m must be positive"):
+            params.parse_config(text)
+
+    def test_unknown_units_rejected(self):
+        with pytest.raises(ConfigError, match="line 1: omega_m_units must be `normalized` or `si`, got 'hz'"):
+            params.parse_config("omega_m_units = hz\n" + CONFIG_RATES)
+
+    def test_non_number_names_line_and_key(self):
+        with pytest.raises(ConfigError, match="line 3: value for 'kappa' is not a number: 'lots'"):
+            params.parse_config("delta2p = 0\ndelta3 = 0.5\nkappa = lots\n")
+
+    def test_trailing_comment_stripped(self):
+        p = params.parse_config(CONFIG_RATES.replace("kappa = 100", "kappa = 100  # cavity 2"))
+        assert p.kappa == 100.0
+
+    def test_out_of_range_rate_is_config_error(self):
+        with pytest.raises(ConfigError, match="kappa3 must be positive and finite, got -1.0"):
+            params.parse_config(CONFIG_RATES.replace("kappa3 = 1", "kappa3 = -1"))
+
+    def test_load_config_reads_file(self, tmp_path):
+        path = tmp_path / "point.cfg"
+        path.write_text(CONFIG_OK, encoding="utf-8")
+        assert params.load_config(path) == params.parse_config(CONFIG_OK)
 
     def test_normalized_mode_rejects_omega_m_key(self):
         with pytest.raises(ConfigError, match="omega_m"):
