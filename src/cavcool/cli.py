@@ -92,17 +92,16 @@ def _column_chunks(rows, width):
 def _column_field(cells):
     """The `%` field of one column chunk and the cell values that fill it.
 
-    A float64 column, or a column of Python floats, takes `%.17g`.  When at
-    most half of its cells are distinct (by bits, so 0.0 and -0.0 and NaN
-    payloads stay apart), each distinct value is formatted with `%.17g` once
-    and the cells take its text through a `%s` field.  Any other column is
-    formatted by `_format_column` and taken as `%s`.
+    A float64 array column takes `%.17g`.  When at most half of its cells
+    are distinct (by bits, so 0.0 and -0.0 and NaN payloads stay apart),
+    each distinct value is formatted with `%.17g` once and the cells take
+    its text through a `%s` field.  Any other column, a column of a row
+    sequence among them, is formatted cell by cell by `_format_column`,
+    without deduplication, and taken as `%s`.
     """
     if not isinstance(cells, np.ndarray):
-        if set(map(type, cells)) != {float}:
-            return "%s", _format_column(cells)
-        cells = np.array(cells)
-    elif cells.dtype != np.float64:
+        return "%s", _format_column(cells)
+    if cells.dtype != np.float64:
         return "%s", _format_column(cells.tolist())
     distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
     if 2 * len(distinct) > len(cells):
@@ -119,7 +118,9 @@ def emit_csv(rows, schema, path):
     `1`/`0`.  The rows are read as column chunks of at most CSV_CHUNK_ROWS
     rows (see `_column_chunks`); each chunk column gets its field and
     values from `_column_field`, and each row is written with one
-    `%`-format string per chunk.
+    `%`-format string per chunk.  Only the float64 columns of a `_Rows`
+    table are deduplicated; a row sequence (the one-row point and `oracle`
+    tables) is formatted cell by cell.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
@@ -203,13 +204,14 @@ def _flags(shape):
 
 
 def evaluate_quantities(p, names, omega=None):
-    """Evaluate the requested quantities at a block of parameter points.
+    """Evaluate the requested quantities at one parameter point or a block of them.
 
-    `p` has array fields of one shape (see `_block`), and `omega`, when
-    given, has that shape too.  Returns (values dict of arrays, flags array).
-    Non-cooling, unstable and ill-conditioned points yield NaN for the
-    affected quantities and a descriptive flag; when several apply, the flag
-    of the later name in `names` wins.
+    A block `p` has array fields of one shape (see `_block`), and `omega`,
+    when given, has that shape too; it gives (values dict of arrays, flags
+    array).  A single point with float fields gives Python scalars and a
+    0-d flags array.  Non-cooling, unstable and ill-conditioned points yield
+    NaN for the affected quantities and a descriptive flag; when several
+    apply, the flag of the later name in `names` wins.
     """
     out = {}
     flags = _flags(p.shape)
@@ -725,11 +727,11 @@ def _dispatch(args):
         columns, quantities, with_flag = POINT_SUBCOMMANDS[args.subcommand]
         series = "single" if base.J == 0.0 else "coupled"
         names = [q.replace("*", series) for q in quantities]
-        values, flags = evaluate_quantities(_block(base, (1,)), names)
-        row = [getattr(base, c) for c in columns] + [values[n][0] for n in names]
+        values, flags = evaluate_quantities(base, names)
+        row = [getattr(base, c) for c in columns] + [values[n] for n in names]
         schema = list(columns) + [q.replace("_*", "") for q in quantities]
         if with_flag:
-            row.append(flags[0])
+            row.append(flags.item())
             schema.append("flag")
         emit_csv([row], schema, args.out)
         return EXIT_OK

@@ -35,7 +35,7 @@ class CoolingReport:
 
 def rates(p):
     """Cooling and heating rates (A_minus, A_plus) = S_FF(+-omega_m) x_zpf^2."""
-    return response.s_ff(OMEGA_M, p), response.s_ff(-OMEGA_M, p)
+    return response.s_ff_pair(OMEGA_M, p)
 
 
 def net_rate(p):

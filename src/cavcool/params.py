@@ -46,10 +46,9 @@ class NormalizedParams:
         _require_nonnegative(self.J, "J")
         _require_nonnegative(self.Omega_m, "Omega_m")
         for name in ("delta2p", "delta3"):
-            value = getattr(self, name)
-            if _failures(value, np.isfinite(value)):
+            if _failures(getattr(self, name), _unbounded):
                 raise ValidationError(f"{name} must be finite")
-        shapes = {np.shape(getattr(self, k)) for k in RATE_KEYS}
+        shapes = {getattr(getattr(self, k), "shape", ()) for k in RATE_KEYS}
         try:
             shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         except ValueError:
@@ -70,20 +69,39 @@ class SweptJ(NormalizedParams):
     """
 
 
-def _failures(value, ok):
-    """The elements of `value` where `ok` (a numpy bool or bool array) is false."""
+def _failures(value, in_range):
+    """The elements of `value` that are not finite or where `in_range` is false.
+
+    A Python float is tested with `math`; any other value (an int, a numpy
+    scalar, an array) with numpy, on which `in_range` compares elementwise.
+    """
+    if type(value) is float:
+        return [] if math.isfinite(value) and in_range(value) else [value]
+    ok = np.isfinite(value) & in_range(value)
     if ok.all():
         return []
     return np.asarray(value)[~np.asarray(ok)].tolist() if np.ndim(value) else [value]
 
 
+def _positive(x):
+    return x > 0.0
+
+
+def _nonnegative(x):
+    return x >= 0.0
+
+
+def _unbounded(x):
+    return True
+
+
 def _require_positive(value, name):
-    if bad := _failures(value, np.isfinite(value) & (value > 0.0)):
+    if bad := _failures(value, _positive):
         raise ValidationError(f"{name} must be positive and finite, got {bad[0]}")
 
 
 def _require_nonnegative(value, name):
-    if bad := _failures(value, np.isfinite(value) & (value >= 0.0)):
+    if bad := _failures(value, _nonnegative):
         raise ValidationError(f"{name} must be nonnegative and finite, got {bad[0]}")
 
 

@@ -15,6 +15,13 @@ returns Python scalars for scalar inputs.  Two arithmetics are used:
   complex-division order and squares through C `pow`.  A block therefore
   gives each point exactly the value that point gives on its own.  The one
   exception is `params.SweptJ` (see `chi_total`).
+
+A rate pair S_FF(+-omega) (`s_ff_pair`) and the self-energy's chi(omega),
+chi*(-omega) pair are one stacked evaluation over omega and -omega, in the
+arithmetic that omega alone selects: a scalar omega keeps the scalar
+arithmetic although its stack is an array.  Each evaluation inverts 1/chi2
+and 1/chi3 in one reciprocal call.  All of it is elementwise, so every value
+keeps the bits of its own evaluation.
 """
 
 import numpy as np
@@ -89,19 +96,31 @@ def chi_total(omega, p):
     interference between the direct and aux-mediated decay pathways.  The
     coupled sum is inverted in numpy's order for `SweptJ` parameters.
     """
-    return _chi_total(omega, p, None)
+    return unwrap(_responses(omega, p, _arithmetic(omega, p))[0])
 
 
-def _chi_total(omega, p, aux):
-    """chi_total, given chi3 at omega as `aux` (computed here when None)."""
-    reciprocal, sq = _arithmetic(omega, p)
-    direct = chi2(omega, p)
+def _responses(omega, p, arithmetic):
+    """(chi_total, chi3) at `omega` in the given (reciprocal, square) arithmetic.
+
+    1/chi2 and 1/chi3 are inverted by one reciprocal call over both.
+    """
+    reciprocal, sq = arithmetic
+    z2 = np.asarray(-1j * (omega + p.delta2p) + p.kappa / 2.0)
+    z3 = np.asarray(-1j * (omega + p.delta3) + p.kappa3 / 2.0)
+    both = reciprocal(np.concatenate((z2.ravel(), z3.ravel())))
+    direct, aux = both[: z2.size].reshape(z2.shape), both[z2.size :].reshape(z3.shape)
     if not np.any(p.J):
-        return direct
-    aux = chi3(omega, p) if aux is None else aux
+        return direct, aux
     coupled_sum = reciprocal(direct) + sq(p.J) * aux
     outer = _numpy_reciprocal if isinstance(p, SweptJ) else reciprocal
-    return unwrap(np.where(p.J == 0.0, direct, outer(coupled_sum)))
+    return np.where(p.J == 0.0, direct, outer(coupled_sum)), aux
+
+
+def _pair(omega, p):
+    """omega and -omega stacked on a new leading axis, against which p's fields broadcast."""
+    omega = np.asarray(omega)
+    pad = (1,) * (len(p.shape) - omega.ndim)
+    return np.stack((omega, -omega)).reshape((2,) + pad + omega.shape)
 
 
 def self_energy(omega, p, reversed_conjugate=True):
@@ -114,13 +133,23 @@ def self_energy(omega, p, reversed_conjugate=True):
     is the optical spring shift.  The variant with chi*(+omega) is exposed
     for comparison; it is purely real and carries no damping information.
     """
-    _, sq = _arithmetic(omega, p)
-    chi_fwd = chi_total(omega, p)
+    arithmetic = _arithmetic(omega, p)
+    _, sq = arithmetic
     if reversed_conjugate:
-        chi_back = np.conj(chi_total(-np.asarray(omega), p))
+        chi_fwd, chi_rev = _responses(_pair(omega, p), p, arithmetic)[0]
+        chi_back = np.conj(chi_rev)
     else:
+        chi_fwd = _responses(omega, p, arithmetic)[0]
         chi_back = np.conj(chi_fwd)
     return unwrap(-1j * sq(p.Omega_m) * (chi_fwd - chi_back))
+
+
+def _spectrum(omega, p, arithmetic):
+    """S_FF at `omega` in the given (reciprocal, square) arithmetic."""
+    _, sq = arithmetic
+    chi, aux = _responses(omega, p, arithmetic)
+    bracket = p.kappa + p.kappa3 * sq(p.J) * sq(np.abs(aux))
+    return sq(p.Omega_m) * sq(np.abs(chi)) * bracket
 
 
 def s_ff(omega, p):
@@ -130,11 +159,17 @@ def s_ff(omega, p):
     Nonnegative everywhere; a pure Lorentzian Omega_m^2 |chi2|^2 kappa when
     J = 0.
     """
-    _, sq = _arithmetic(omega, p)
-    aux = chi3(omega, p)
-    chi = _chi_total(omega, p, aux)
-    bracket = p.kappa + p.kappa3 * sq(p.J) * sq(np.abs(aux))
-    return unwrap(sq(p.Omega_m) * sq(np.abs(chi)) * bracket)
+    return unwrap(_spectrum(omega, p, _arithmetic(omega, p)))
+
+
+def s_ff_pair(omega, p):
+    """(S_FF(omega), S_FF(-omega)), evaluated as one stacked block.
+
+    Each value has the bits of its own `s_ff` call: the arithmetic is chosen
+    for `omega` as given, not for the stacked pair.
+    """
+    plus, minus = _spectrum(_pair(omega, p), p, _arithmetic(omega, p))
+    return unwrap(plus), unwrap(minus)
 
 
 def spectrum_scan(omega_grid, p):

@@ -189,6 +189,10 @@ def test_closed_forms_match_point_references(points, swept, omega):
     s_ff = [ref_s(omega, pt, j) for pt, j in zip(points, js)]
     assert_same("S_ff", response.s_ff(omega, block), s_ff)
 
+    a_minus, a_plus = cooling.rates(block)
+    assert_same("rates A_minus", a_minus, np.broadcast_to(response.s_ff(1.0, block), len(points)))
+    assert_same("rates A_plus", a_plus, np.broadcast_to(response.s_ff(-1.0, block), len(points)))
+
     report = cooling.cooling_limit(block)
     refs = [ref_cooling(pt, j) for pt, j in zip(points, js)]
     for name in ("A_minus", "A_plus", "Gamma_opt", "n_q", "n_c", "n_f", "cooling"):

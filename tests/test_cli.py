@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cavcool import cli, lyapunov, params, reduction, response
+from cavcool import cli, cooling, lyapunov, params, reduction, response
 
 CONFIG = """
 delta2p = 66.666666666666667
@@ -262,6 +262,38 @@ class TestPointCommands:
         ]
         assert rows[0][8] == "1"
         assert float(rows[0][4]) == pytest.approx(0.12, rel=1e-12)
+
+    @pytest.mark.parametrize("sub", ["rates", "limit"])
+    def test_heating_point_flagged_not_cooling(self, tmp_path, sub):
+        # At delta2p = -60 the coupled point heats: Gamma_opt = -3.2e-4.
+        config = tmp_path / "heating.cfg"
+        config.write_text(CONFIG.replace("delta2p = 66.666666666666667", "delta2p = -60"))
+        out = tmp_path / f"{sub}.csv"
+        assert cli.main([sub, "--config", str(config), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        report = cooling.cooling_limit(params.load_config(config))
+        assert report.Gamma_opt == pytest.approx(-3.2e-4, rel=0.01)
+        for name in header[2:-1]:
+            assert row[name] == "%.17g" % getattr(report, name), name
+        assert [row[k] for k in ("n_q", "n_c", "n_f") if k in row] == (
+            ["nan"] * 3 if sub == "limit" else []
+        )
+        assert row["flag"] == "not_cooling"
+
+    def test_stability_row_single_cavity_verdict(self, tmp_path):
+        config = tmp_path / "single.cfg"
+        config.write_text(
+            CONFIG.replace("delta2p = 66.666666666666667", "delta2p = -60").replace("J = 10", "J = 0")
+        )
+        out = tmp_path / "stab.csv"
+        assert cli.main(["stability", "--config", str(config), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        verdict = reduction.stability_single(params.load_config(config))
+        # The coupled verdict would be stable with an infinite margin at eta = 0.
+        assert verdict.margin == pytest.approx(146.04, rel=1e-12)
+        assert (row["stable"], row["margin"]) == ("1", "%.17g" % verdict.margin)
 
     def test_effective_row(self, config_path, tmp_path):
         out = tmp_path / "eff.csv"
@@ -525,14 +557,16 @@ class TestSelftest:
         assert lines[-1] == "all checks passed"
 
     def test_nan_at_one_point_fails(self, monkeypatch, capsys):
-        chi3 = response.chi3
+        # `_responses` is where the spectrum and chi_total get chi3.
+        responses = response._responses
 
-        def chi3_nan_at_second_point(omega, p):
-            out = np.array(chi3(omega, p))
-            out.flat[1] = np.nan
-            return out
+        def chi3_nan_at_second_point(omega, p, arithmetic):
+            chi, aux = responses(omega, p, arithmetic)
+            aux = np.array(aux)
+            aux.flat[1] = np.nan
+            return chi, aux
 
-        monkeypatch.setattr(response, "chi3", chi3_nan_at_second_point)
+        monkeypatch.setattr(response, "_responses", chi3_nan_at_second_point)
         assert cli.main(["selftest"]) == 3
         # The invariant's worst is NaN, not the largest finite deviation.
         output = capsys.readouterr().out

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from conftest import RECOIL_50NM, fig5_coupled, fig5_single
 
-from cavcool import cooling, invariants, response
+from cavcool import cooling, invariants, params, response
 from cavcool.errors import NoCoolingWindow
-from cavcool.params import NormalizedParams
+from cavcool.params import NormalizedParams, SweptJ
 
 
 def direct_rate_formula(omega_sign, p):
@@ -87,6 +87,48 @@ class TestNetRateAndSpring:
         assert cooling.spring_shift(p) == pytest.approx(
             response.self_energy(1.0, p).real, rel=1e-13
         )
+
+
+def shaped_points(cls, J):
+    """The fig5 point at coupling J as a scalar point, a 1-point block and a 65-point block."""
+    fields = vars(fig5_coupled(100.0).replace(J=J))
+    point = cls(**{k: fields[k] for k in params.RATE_KEYS})
+    return (
+        point,
+        point.replace(delta2p=np.array([point.delta2p])),
+        point.replace(delta2p=np.linspace(-300.0, 300.0, 65)),
+    )
+
+
+class TestOneResponsePass:
+    """One rate pair is one stacked response pass: chi2 and chi3 at +-omega_m
+    share one reciprocal, then 1/chi2 and the coupled sum take one each.
+    For `SweptJ` the coupled sum is inverted in numpy's order instead."""
+
+    @pytest.mark.parametrize("J", [10.0, 0.0])
+    @pytest.mark.parametrize("cls", [NormalizedParams, SweptJ])
+    @pytest.mark.parametrize("fn", [cooling.cooling_limit, cooling.net_rate])
+    def test_reciprocal_and_square_calls(self, fn, cls, J, monkeypatch):
+        calls = {}
+
+        def counted(name, real):
+            def call(x):
+                calls[name] = calls.get(name, 0) + 1
+                return real(x)
+
+            return call
+
+        for name in ("_reciprocal", "_numpy_reciprocal", "square"):
+            monkeypatch.setattr(response, name, counted(name, getattr(response, name)))
+        for p in shaped_points(cls, J):
+            calls.clear()
+            fn(p)
+            if J == 0.0:
+                assert calls == {"_reciprocal": 1, "square": 4}, p.shape
+            elif cls is SweptJ:
+                assert calls == {"_reciprocal": 2, "_numpy_reciprocal": 1, "square": 5}, p.shape
+            else:
+                assert calls == {"_reciprocal": 3, "square": 5}, p.shape
 
 
 class TestCoolingLimit:

@@ -1,6 +1,7 @@
 """Unit tests for the normalized parameter model, the recoil rate, and the config format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,47 @@ class TestValidation:
                 NormalizedParams(**dict(base, n_th=np.array([0.0, bad])))
         with pytest.raises(ValidationError, match="do not broadcast"):
             NormalizedParams(**dict(base, kappa=np.ones(2), J=np.ones(3)))
+
+
+VALID_POINT = dict(delta2p=0.5, delta3=-0.5, kappa=1.0, kappa3=2.0, J=0.3, Omega_m=0.2,
+                   gamma=1e-5, gamma_sc=1e-4, n_th=1.0)
+# field -> (requirement in the message, bad values)
+CONSTRAINTS = {
+    **{k: ("positive and finite", (math.nan, math.inf, -1.0, 0.0)) for k in ("kappa", "kappa3")},
+    **{
+        k: ("nonnegative and finite", (math.nan, math.inf, -1.0))
+        for k in ("J", "Omega_m", "gamma", "gamma_sc", "n_th")
+    },
+    **{k: ("finite", (math.nan, math.inf, -math.inf)) for k in ("delta2p", "delta3")},
+}
+# Each bad value as a Python float, a numpy scalar, a 0-d and a 1-d array.
+FORMS = {
+    "float": float,
+    "np.float64": np.float64,
+    "0-d array": np.array,
+    "1-d array": lambda x: np.array([0.5, x]),
+}
+
+
+class TestValidationTable:
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize(
+        "name,bad",
+        [(name, bad) for name, (_, bads) in CONSTRAINTS.items() for bad in bads],
+    )
+    def test_bad_value_rejected_with_message(self, name, bad, form):
+        requirement = CONSTRAINTS[name][0]
+        message = f"{name} must be {requirement}"
+        if requirement != "finite":
+            message += f", got {bad}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            NormalizedParams(**dict(VALID_POINT, **{name: FORMS[form](bad)}))
+
+    def test_int_and_numpy_scalar_fields_are_one_point(self):
+        ints = NormalizedParams(**{k: int(math.ceil(v)) for k, v in VALID_POINT.items()})
+        scalars = NormalizedParams(**{k: np.float64(v) for k, v in VALID_POINT.items()})
+        mixed = NormalizedParams(**dict(VALID_POINT, kappa=3, J=np.float64(0.0), n_th=0))
+        assert ints.shape == scalars.shape == mixed.shape == ()
 
 
 CONFIG_OK = """
