@@ -12,7 +12,7 @@ from .params import (
     load_config,
     parse_config,
 )
-from .response import chi2, chi3, chi_m, chi_total, find_extrema, s_ff, self_energy, spectrum_scan
+from .response import chi2, chi3, chi_m, chi_total, s_ff, self_energy
 from .cooling import CoolingReport, cooling_limit, net_rate, optimal_detuning, rates, spring_shift
 from .reduction import (
     EffectiveParams,

@@ -309,15 +309,6 @@ class Axis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axis1: Axis
-    axis2: "Axis | None"
-    quantities: tuple
-    dual: bool = False
-    preset_coupling: bool = False
-
-
 def parse_axis(text):
     parts = text.split(":")
     if len(parts) != 5:
@@ -343,6 +334,13 @@ def parse_axis(text):
     return Axis(name, lo, hi, count, scale)
 
 
+def _preset_coupled(fields):
+    """NormalizedParams of `fields` with J = sqrt(kappa), delta2p = J^2/(delta3 + 1) per point."""
+    fields = dict(fields, J=params.j_sideband_preset(fields["kappa"]), delta2p=0.0)
+    p = params.NormalizedParams(**fields)
+    return p.replace(delta2p=cooling.closed_form_detuning(p))
+
+
 def _sweep_params(base, names, point, preset_coupling):
     """Block params for grid points given as axis columns; returns (params, omega or None)."""
     fields = {k: getattr(base, k) for k in params.RATE_KEYS}
@@ -350,11 +348,19 @@ def _sweep_params(base, names, point, preset_coupling):
     omega = assignments.pop("omega", None)
     fields.update(assignments)
     if preset_coupling:
-        fields["J"] = params.j_sideband_preset(fields["kappa"])
-    p = (params.SweptJ if "J" in assignments else params.NormalizedParams)(**fields)
-    if preset_coupling:
-        p = p.replace(delta2p=cooling.closed_form_detuning(p))
+        p = _preset_coupled(fields)
+    else:
+        p = (params.SweptJ if "J" in assignments else params.NormalizedParams)(**fields)
     return _block(p, point[0].shape), omega
+
+
+# Sweep flags that set J and delta2p themselves -> the swept axes and flags
+# they cannot be combined with.  --single-cavity sets them once, from the
+# config's kappa; --preset-coupling at every point, from that point's kappa.
+SWEEP_FLAG_CONFLICTS = {
+    "--preset-coupling": ("J", "delta2p"),
+    "--single-cavity": ("kappa", "J", "delta2p", "--preset-coupling"),
+}
 
 
 def _grid_size(kind, axes):
@@ -371,15 +377,14 @@ def _single_cavity(p):
     return p.replace(J=0.0, delta2p=-p.kappa / 2.0)
 
 
-def run_sweep(base, spec):
-    """Evaluate a sweep in blocks of points, in axis order (the last axis varies fastest).
+def run_sweep(base, axes, quantities, dual, preset_coupling):
+    """(rows, schema) of `quantities` over the grid of `axes`, in axis order, in blocks of points.
 
+    With `preset_coupling` each point takes J and delta2p from `_preset_coupled`.
     With `dual` each point is evaluated for the coupled and the single-cavity
     series; the row's flag is the coupled one unless that is `ok`.  Grids of
-    more than MAX_SWEEP_POINTS points are rejected before anything is
-    allocated.
+    more than MAX_SWEEP_POINTS points are rejected before anything is allocated.
     """
-    axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
     size = _grid_size("sweep", axes)
     names = [axis.name for axis in axes]
     mesh = np.meshgrid(*(axis.grid() for axis in axes), indexing="ij")
@@ -387,22 +392,22 @@ def run_sweep(base, spec):
     blocks = []
     for start in range(0, size, BLOCK_POINTS):
         point = [column[start : start + BLOCK_POINTS] for column in grid]
-        p, omega = _sweep_params(base, names, point, spec.preset_coupling)
-        series = (p, _single_cavity(p)) if spec.dual else (p,)
-        results = [evaluate_quantities(q, spec.quantities, omega) for q in series]
+        p, omega = _sweep_params(base, names, point, preset_coupling)
+        series = (p, _single_cavity(p)) if dual else (p,)
+        results = [evaluate_quantities(q, quantities, omega) for q in series]
         columns = list(point)
-        for name in spec.quantities:
+        for name in quantities:
             columns.extend(values[name] for values, _ in results)
         coupled_flags, last_flags = results[0][1], results[-1][1]
         columns.append(np.where(coupled_flags != "ok", coupled_flags, last_flags))
         blocks.append(columns)
 
     schema = names
-    if spec.dual:
-        for name in spec.quantities:
+    if dual:
+        for name in quantities:
             schema.extend([f"{name}_coupled", f"{name}_single"])
     else:
-        schema.extend(spec.quantities)
+        schema.extend(quantities)
     schema.append("flag")
     return _Rows(blocks), schema
 
@@ -469,17 +474,14 @@ def _n_f_rows(x_name, grid, labels, points):
 
 
 def _coupled_preset_params(kappa, preset, kappa3=None, gamma_sc=None):
-    p = params.NormalizedParams(
-        delta2p=0.0,
+    return _preset_coupled(dict(
         delta3=preset["delta3"],
         kappa=kappa,
         kappa3=preset["kappa3"] if kappa3 is None else kappa3,
-        J=params.j_sideband_preset(kappa),
         Omega_m=preset["Omega_m"],
         gamma=preset["gamma"],
         gamma_sc=preset.get("gamma_sc", 0.0) if gamma_sc is None else gamma_sc,
-    )
-    return p.replace(delta2p=cooling.closed_form_detuning(p))
+    ))
 
 
 def _fig5a_rows(preset):
@@ -546,20 +548,13 @@ def run_figure(preset_id, out_path):
     rows_fn, xlabel, ylabel, logy = _FIGURES[builder]
     rows, schema = rows_fn(FIGURE_PRESETS[preset_id])
     emit_csv(rows, schema, out_path)
-    gp_path = _sidecar_path(out_path)
+    gp_path = str(out_path).removesuffix(".csv") + ".gp"
     value_columns = [i + 1 for i, name in enumerate(schema) if not name.startswith("flag")][1:]
     _write_gnuplot(
         gp_path, out_path, preset_id, xlabel, ylabel, value_columns,
         logy=logy, surface=(61, 121) if builder == "fig4" else None,
     )
     return gp_path
-
-
-def _sidecar_path(out_path):
-    text = str(out_path)
-    if text.endswith(".csv"):
-        return text[: -len(".csv")] + ".gp"
-    return text + ".gp"
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +607,9 @@ _SELFTEST = (
 )
 
 
-def run_selftest(stream=None):
-    """One PASS/FAIL line per invariant; a check fails when its worst deviation
-    is above its bound or NaN.  Returns the number of failed checks."""
-    stream = stream if stream is not None else sys.stdout
+def run_selftest():
+    """Print one PASS/FAIL line per invariant; a check fails when its worst
+    deviation is above its bound or NaN.  Returns the number of failed checks."""
     rng = np.random.default_rng(20240817)
     failures = 0
     for name, invariant, bound, draw in _SELFTEST:
@@ -623,11 +617,11 @@ def run_selftest(stream=None):
         worst = invariant(*args)
         points = math.prod(np.broadcast_shapes(*(getattr(a, "shape", ()) for a in args)))
         failures += not worst <= bound
-        stream.write(
+        print(
             f"{'PASS' if worst <= bound else 'FAIL'}  {name}  worst={worst:.3g} "
-            f"bound={bound!r} points={points}\n"
+            f"bound={bound!r} points={points}"
         )
-    stream.write(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}\n")
+    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return failures
 
 
@@ -645,8 +639,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required, help="path to key=value config")
+    def add_common(sp):
+        sp.add_argument("--config", required=True, help="path to key=value config")
         sp.add_argument("--out", required=True, help="output CSV path")
         sp.add_argument(
             "--single-cavity",
@@ -697,13 +691,6 @@ def _build_parser():
     return parser
 
 
-def _load_base(args):
-    base = params.load_config(args.config)
-    if getattr(args, "single_cavity", False):
-        base = _single_cavity(base)
-    return base
-
-
 def _dispatch(args):
     if args.subcommand == "selftest":
         return EXIT_NUMERIC if run_selftest() else EXIT_OK
@@ -712,7 +699,9 @@ def _dispatch(args):
         run_figure(args.id, args.out)
         return EXIT_OK
 
-    base = _load_base(args)
+    base = params.load_config(args.config)
+    if args.single_cavity:
+        base = _single_cavity(base)
 
     if args.subcommand == "spectrum":
         axis = parse_axis(args.axis1)
@@ -753,8 +742,9 @@ def _dispatch(args):
         return EXIT_OK
 
     if args.subcommand == "sweep":
-        axis1 = parse_axis(args.axis1)
-        axis2 = parse_axis(args.axis2) if args.axis2 else None
+        axes = [parse_axis(text) for text in (args.axis1, args.axis2) if text]
+        if len(axes) == 2 and axes[0].name == axes[1].name:
+            raise ValidationError(f"axis {axes[0].name!r} is given twice")
         quantities = tuple(q.strip() for q in args.quantity.split(",") if q.strip())
         if not quantities:
             raise ValidationError("--quantity must name at least one quantity")
@@ -763,14 +753,16 @@ def _dispatch(args):
                 raise ValidationError(
                     f"unknown quantity {q!r}; choose from {', '.join(QUANTITIES)}"
                 )
-        if args.preset_coupling:
-            for axis in (axis1, axis2):
-                if axis and axis.name in ("J", "delta2p"):
+        given = {axis.name for axis in axes}
+        given.update(f for f in SWEEP_FLAG_CONFLICTS if getattr(args, f[2:].replace("-", "_")))
+        for flag, conflicts in SWEEP_FLAG_CONFLICTS.items():
+            for other in conflicts:
+                if flag in given and other in given:
+                    what = other if other.startswith("--") else f"the swept axis {other!r}"
                     raise ValidationError(
-                        f"--preset-coupling would override the swept axis {axis.name!r}"
+                        f"{flag} sets J and delta2p itself; it cannot be combined with {what}"
                     )
-        spec = SweepSpec(axis1, axis2, quantities, args.dual, args.preset_coupling)
-        rows, schema = run_sweep(base, spec)
+        rows, schema = run_sweep(base, axes, quantities, args.dual, args.preset_coupling)
         emit_csv(rows, schema, args.out)
         return EXIT_OK
 

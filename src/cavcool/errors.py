@@ -11,7 +11,3 @@ class ConfigError(ValidationError):
 
 class NoCoolingWindow(RuntimeError):
     """No detuning in the scanned range produced a positive net cooling rate."""
-
-
-class GridTooCoarse(RuntimeError):
-    """Extremum classification ambiguous on the supplied grid."""

@@ -24,7 +24,6 @@ from . import cooling as cooling_mod
 from .params import unwrap
 from .response import OMEGA_M
 
-QUADRATURE_ORDER = ("X2", "Y2", "X3", "Y3", "q", "p")
 RESIDUAL_RTOL = 1e-10  # relative Lyapunov residual that a solve must meet
 # Symmetric systems (21x21 each) solved per stacked LAPACK call; bounds the
 # temporaries of a block's solve at about 0.7 MB.  Stacks of 32 to 256 run

@@ -19,6 +19,9 @@ import numpy as np
 from .params import square, unwrap
 from .response import OMEGA_M
 
+# Each separation-of-scales condition of the elimination must hold by this factor.
+REGIME_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class EffectiveParams:
@@ -26,7 +29,7 @@ class EffectiveParams:
 
     eta = J / sqrt(delta2p^2 + kappa^2/4) measures how strongly the broad
     cavity participates; regime_ok reports whether every separation-of-scales
-    condition holds by at least `factor`.
+    condition holds by at least REGIME_FACTOR.
     """
 
     eta: float
@@ -50,15 +53,15 @@ class StabilityVerdict:
     criterion: str
 
 
-def effective_params(p, regime_factor=10.0):
+def effective_params(p):
     """Effective two-mode parameters (eta, Omega_eff, kappa_eff, Delta_eff)."""
     with np.errstate(all="ignore"):
         eta = p.J / np.sqrt(square(p.delta2p) + square(p.kappa / 2.0))
     checks = {
-        "detuning_separation": abs(p.delta2p) >= regime_factor * abs(p.delta3),
-        "kappa_dominates_kappa3": p.kappa >= regime_factor * p.kappa3,
-        "kappa_dominates_gamma": p.kappa >= regime_factor * p.gamma,
-        "kappa_dominates_J": p.kappa >= regime_factor * p.J,
+        "detuning_separation": abs(p.delta2p) >= REGIME_FACTOR * abs(p.delta3),
+        "kappa_dominates_kappa3": p.kappa >= REGIME_FACTOR * p.kappa3,
+        "kappa_dominates_gamma": p.kappa >= REGIME_FACTOR * p.gamma,
+        "kappa_dominates_J": p.kappa >= REGIME_FACTOR * p.J,
     }
     return EffectiveParams(
         eta=unwrap(eta),
@@ -78,25 +81,21 @@ def _general_criterion(delta, coupling, kappa):
     )
 
 
-def stability_single(p, at_optimum=False):
+def stability_single(p):
     """Single-cavity stability (J treated as zero, mechanical damping neglected).
 
     The general inequality is delta2p [16 delta2p Omega_m^2 +
     (4 delta2p^2 + kappa^2) omega_m] < 0; its margin is normalized by
-    kappa^2 omega_m so sweeps are comparable across kappa scales.  With
-    `at_optimum` the resolved-regime simplification at delta2p = -kappa/2,
-    Omega_m^2 < kappa omega_m / 4, is evaluated instead.
+    kappa^2 omega_m so sweeps are comparable across kappa scales.  At the
+    single-cavity optimum delta2p = -kappa/2 it reduces to
+    Omega_m^2 < kappa omega_m / 4.
     """
-    if at_optimum:
-        bound = p.kappa * OMEGA_M / 4.0
-        margin = (bound - square(p.Omega_m)) / bound
-        return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin), "single_at_optimum")
     lhs = _general_criterion(p.delta2p, p.Omega_m, p.kappa)
     margin = -lhs / (square(p.kappa) * OMEGA_M)
     return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin), "single_general")
 
 
-def stability_coupled(p, form="closed", regime_factor=10.0):
+def stability_coupled(p, form="closed"):
     """Coupled-cavity stability from the effective two-mode system.
 
     form="closed" evaluates the closed bound
@@ -109,7 +108,7 @@ def stability_coupled(p, form="closed", regime_factor=10.0):
     """
     if form not in ("closed", "effective"):
         raise ValueError(f"form must be 'closed' or 'effective', got {form!r}")
-    eff = effective_params(p, regime_factor)
+    eff = effective_params(p)
     with np.errstate(all="ignore"):
         if form == "closed":
             scale = 4.0 * square(OMEGA_M) + square(eff.kappa_eff)

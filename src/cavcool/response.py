@@ -26,7 +26,6 @@ keeps the bits of its own evaluation.
 
 import numpy as np
 
-from .errors import GridTooCoarse, ValidationError
 from .params import SweptJ, square, unwrap
 
 OMEGA_M = 1.0  # mechanical frequency in normalized units
@@ -123,25 +122,18 @@ def _pair(omega, p):
     return np.stack((omega, -omega)).reshape((2,) + pad + omega.shape)
 
 
-def self_energy(omega, p, reversed_conjugate=True):
-    """Optomechanical self-energy Sigma(omega).
+def self_energy(omega, p):
+    """Optomechanical self-energy Sigma(omega) = -i Omega_m^2 [chi(omega) - chi*(-omega)].
 
-    With `reversed_conjugate` (default) this is
-        Sigma(omega) = -i Omega_m^2 [chi(omega) - chi*(-omega)],
-    whose imaginary part at omega_m reproduces the net cooling rate,
-    Gamma_opt = -2 Im Sigma(omega_m) = A_minus - A_plus, and whose real part
-    is the optical spring shift.  The variant with chi*(+omega) is exposed
-    for comparison; it is purely real and carries no damping information.
+    Its imaginary part at omega_m reproduces the net cooling rate,
+    Gamma_opt = -2 Im Sigma(omega_m) = A_minus - A_plus, and its real part
+    is the optical spring shift.  chi(omega) and chi(-omega) are one stacked
+    evaluation.
     """
     arithmetic = _arithmetic(omega, p)
     _, sq = arithmetic
-    if reversed_conjugate:
-        chi_fwd, chi_rev = _responses(_pair(omega, p), p, arithmetic)[0]
-        chi_back = np.conj(chi_rev)
-    else:
-        chi_fwd = _responses(omega, p, arithmetic)[0]
-        chi_back = np.conj(chi_fwd)
-    return unwrap(-1j * sq(p.Omega_m) * (chi_fwd - chi_back))
+    chi_fwd, chi_rev = _responses(_pair(omega, p), p, arithmetic)[0]
+    return unwrap(-1j * sq(p.Omega_m) * (chi_fwd - np.conj(chi_rev)))
 
 
 def _spectrum(omega, p, arithmetic):
@@ -170,36 +162,3 @@ def s_ff_pair(omega, p):
     """
     plus, minus = _spectrum(_pair(omega, p), p, _arithmetic(omega, p))
     return unwrap(plus), unwrap(minus)
-
-
-def spectrum_scan(omega_grid, p):
-    """(grid, S_FF values) on a strictly increasing grid."""
-    grid = np.asarray(omega_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("omega grid must be one-dimensional with >= 2 points")
-    if not np.all(np.diff(grid) > 0):
-        raise ValidationError("omega grid must be strictly increasing")
-    return grid, s_ff(grid, p)
-
-
-def find_extrema(grid, values):
-    """Locate interior extrema of `values` sampled on `grid` by derivative sign change.
-
-    Returns a list of (omega, kind) with kind in {"max", "min"}.  Raises
-    GridTooCoarse when adjacent samples are exactly equal, because a flat
-    segment makes the curvature test ambiguous at that resolution.
-    """
-    diffs = np.diff(values)
-    if np.any(diffs == 0.0):
-        flat_at = grid[np.nonzero(diffs == 0.0)[0][0]]
-        raise GridTooCoarse(
-            f"flat segment near omega = {flat_at:.6g}; refine the grid to classify extrema"
-        )
-    extrema = []
-    signs = np.sign(diffs)
-    for i in range(1, len(values) - 1):
-        if signs[i - 1] > 0 and signs[i] < 0:
-            extrema.append((float(grid[i]), "max"))
-        elif signs[i - 1] < 0 and signs[i] > 0:
-            extrema.append((float(grid[i]), "min"))
-    return extrema

@@ -397,12 +397,52 @@ class TestSweep:
         ])
         assert rc == 2
 
-    def test_preset_coupling_refuses_overridden_axis(self, config_path, tmp_path):
-        rc = cli.main([
-            "sweep", "--config", config_path, "--out", str(tmp_path / "x.csv"),
-            "--axis1", "J:1:10:3:lin", "--quantity", "n_f", "--preset-coupling",
-        ])
+    REFUSED = "sets J and delta2p itself; it cannot be combined with"
+
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(["--axis1", "J:1:10:3:lin", "--preset-coupling"],
+                     f"--preset-coupling {REFUSED} the swept axis 'J'", id="J-preset"),
+        pytest.param(["--axis1", "Omega_m:0.1:0.3:3:lin", "--axis2", "delta2p:1:10:3:lin",
+                      "--preset-coupling"],
+                     f"--preset-coupling {REFUSED} the swept axis 'delta2p'", id="delta2p-preset"),
+        pytest.param(["--axis1", "Omega_m:0.1:0.3:3:lin", "--single-cavity", "--preset-coupling"],
+                     f"--single-cavity {REFUSED} --preset-coupling", id="single-preset"),
+        pytest.param(["--axis1", "kappa:10:100:3:log", "--single-cavity"],
+                     f"--single-cavity {REFUSED} the swept axis 'kappa'", id="kappa-single"),
+        pytest.param(["--axis1", "J:1:10:3:lin", "--single-cavity"],
+                     f"--single-cavity {REFUSED} the swept axis 'J'", id="J-single"),
+        pytest.param(["--axis1", "Omega_m:0.1:0.3:3:lin", "--axis2", "delta2p:-80:-40:3:lin",
+                      "--single-cavity"],
+                     f"--single-cavity {REFUSED} the swept axis 'delta2p'", id="delta2p-single"),
+        pytest.param(["--axis1", "kappa:10:100:3:log", "--axis2", "kappa:1:10:3:log"],
+                     "axis 'kappa' is given twice", id="duplicate-axis"),
+    ])
+    def test_preset_coupling_refuses_overridden_axis(
+        self, config_path, tmp_path, monkeypatch, capsys, extra, message
+    ):
+        def evaluate(*args, **kwargs):
+            raise AssertionError("a refused sweep evaluated a point")
+
+        monkeypatch.setattr(cli, "evaluate_quantities", evaluate)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--config", config_path, "--out", str(out), "--quantity", "n_f"]
+        rc = cli.main(argv + extra)
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_single_cavity_sweep_matches_dual_single_series(self, config_path, tmp_path):
+        # Over an axis other than kappa, J and delta2p, --single-cavity gives
+        # the single-cavity series that --dual writes beside the coupled one.
+        axis = ["--axis1", "Omega_m:0.1:0.4:7:lin", "--quantity", "n_f"]
+        single, dual = tmp_path / "single.csv", tmp_path / "dual.csv"
+        argv = ["sweep", "--config", config_path, "--out"]
+        assert cli.main(argv + [str(single), "--single-cavity"] + axis) == 0
+        assert cli.main(argv + [str(dual), "--dual"] + axis) == 0
+        _, single_rows = read_csv(single)
+        header, dual_rows = read_csv(dual)
+        assert header == ["Omega_m", "n_f_coupled", "n_f_single", "flag"]
+        assert [row[:2] for row in single_rows] == [[row[0], row[2]] for row in dual_rows]
 
     def test_not_cooling_points_flagged(self, config_path, tmp_path):
         out = tmp_path / "flags.csv"
@@ -531,6 +571,47 @@ class TestFigurePresets:
         # The coupled curve must stay below the single curve at large kappa.
         last = rows[-1]
         assert float(last[1]) < float(last[3])
+
+    @staticmethod
+    def _preset_sweep(tmp_path, preset, name, extra):
+        """`sweep --preset-coupling` over `preset`'s parameters; (header, rows)."""
+        fields = {"kappa": 1.0, **preset, "J": 0.0, "delta2p": 0.0}
+        config = tmp_path / f"{name}.cfg"
+        text = "".join(f"{k} = {v!r}\n" for k, v in fields.items() if k in params.RATE_KEYS)
+        config.write_text(text)
+        out = tmp_path / f"{name}.csv"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--preset-coupling"]
+        assert cli.main(argv + extra) == 0
+        return read_csv(out)
+
+    def test_fig5b_is_the_preset_coupling_sweep(self, tmp_path):
+        figure = tmp_path / "fig5b.csv"
+        assert cli.main(["figure", "--id", "fig5b", "--out", str(figure)]) == 0
+        _, fig_rows = read_csv(figure)
+        header, rows = self._preset_sweep(
+            tmp_path, cli.FIGURE_PRESETS["fig5b"], "sweep5b",
+            ["--axis1", "kappa:1:1000:200:log", "--quantity", "n_f", "--dual"],
+        )
+        assert header == ["kappa", "n_f_coupled", "n_f_single", "flag"]
+        expected = [
+            [kappa, coupled, single, flag_c if flag_c != "ok" else flag_s]
+            for kappa, coupled, flag_c, single, flag_s in fig_rows
+        ]
+        assert rows == expected
+
+    def test_fig6b_curves_are_preset_coupling_sweeps(self, tmp_path):
+        figure = tmp_path / "fig6b.csv"
+        assert cli.main(["figure", "--id", "fig6b", "--out", str(figure)]) == 0
+        fig_header, fig_rows = read_csv(figure)
+        preset = cli.FIGURE_PRESETS["fig6b"]
+        for kappa in preset["kappas"]:
+            header, rows = self._preset_sweep(
+                tmp_path, dict(preset, kappa=kappa), f"sweep6b_{kappa:g}",
+                ["--axis1", "kappa3:0.05:10:200:log", "--quantity", "n_f"],
+            )
+            assert header == ["kappa3", "n_f", "flag"]
+            n_f = fig_header.index(f"n_f_kappa{kappa:g}")
+            assert rows == [[row[0], row[n_f], row[n_f + 1]] for row in fig_rows]
 
     def test_unknown_preset_exits_2(self, tmp_path):
         assert cli.main(["figure", "--id", "fig99", "--out", str(tmp_path / "x.csv")]) == 2

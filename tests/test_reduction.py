@@ -77,13 +77,14 @@ class TestStabilitySingle:
         assert reduction.stability_single(p).margin == 0.0
 
     def test_simplified_form_at_optimum(self):
+        # At delta2p = -kappa/2 the general criterion reduces to Omega_m^2 < kappa/4.
         kappa = 64.0
         p = NormalizedParams(delta2p=-kappa / 2, delta3=0.5, kappa=kappa, kappa3=1.0,
                              J=0.0, Omega_m=3.0, gamma=0.0)
-        verdict = reduction.stability_single(p, at_optimum=True)
-        assert verdict.criterion == "single_at_optimum"
+        verdict = reduction.stability_single(p)
+        assert verdict.criterion == "single_general"
         assert verdict.stable  # 9 < 16
-        verdict2 = reduction.stability_single(p.replace(Omega_m=5.0), at_optimum=True)
+        verdict2 = reduction.stability_single(p.replace(Omega_m=5.0))
         assert not verdict2.stable  # 25 > 16
 
 

@@ -5,7 +5,6 @@ import pytest
 from conftest import fig3_params
 
 from cavcool import invariants, response
-from cavcool.errors import GridTooCoarse, ValidationError
 from cavcool.params import NormalizedParams
 
 
@@ -115,11 +114,6 @@ class TestSelfEnergy:
         rng = np.random.default_rng(5)
         assert invariants.two_way_rate(random_params(rng, 200)) <= 1e-10
 
-    def test_same_sign_conjugate_variant_is_purely_real(self):
-        p = make_params()
-        sigma = response.self_energy(1.0, p, reversed_conjugate=False)
-        assert sigma.imag == pytest.approx(0.0, abs=1e-18)
-
     def test_spring_shift_sign_red_detuned(self):
         p = make_params(J=0.0, delta2p=-50.0)
         assert response.self_energy(1.0, p).real < 0.0
@@ -147,38 +141,15 @@ class TestSpectrum:
         p = make_params()
         assert response.s_ff(1e4, p) < 0.02 * response.s_ff(1e3, p)
 
+    def test_grid_matches_pointwise_eval(self):
+        p = make_params()
+        grid = np.linspace(-2, 2, 21)
+        for w, s in zip(grid, response.s_ff(grid, p)):
+            assert s == pytest.approx(float(response.s_ff(w, p)), rel=1e-14)
+
     def test_lorentzian_when_decoupled(self):
         p = make_params(J=0.0, delta2p=-37.0, kappa=250.0, Omega_m=0.5)
         assert invariants.lorentzian(p, np.linspace(-400, 400, 4001)) < 1e-12
-
-
-class TestScanAndExtrema:
-    def test_single_lorentzian_peak_located(self):
-        p = make_params(J=0.0, delta2p=-2.0, kappa=5.0)
-        extrema = response.find_extrema(*response.spectrum_scan(np.linspace(-10, 10, 2001), p))
-        assert len(extrema) == 1
-        omega, kind = extrema[0]
-        assert kind == "max"
-        assert omega == pytest.approx(2.0, abs=0.01)
-
-    def test_requires_increasing_grid(self):
-        p = make_params()
-        with pytest.raises(ValidationError):
-            response.spectrum_scan([0.0, -1.0, 1.0], p)
-
-    def test_flat_data_raises_grid_too_coarse(self):
-        p = make_params(Omega_m=0.0)
-        grid, values = response.spectrum_scan(np.linspace(-1, 1, 11), p)
-        with pytest.raises(GridTooCoarse):
-            response.find_extrema(grid, values)
-
-    def test_spectrum_scan_matches_pointwise_eval(self):
-        p = make_params()
-        grid = np.linspace(-2, 2, 21)
-        scanned, values = response.spectrum_scan(grid, p)
-        assert np.array_equal(scanned, grid)
-        for w, s in zip(scanned, values):
-            assert s == pytest.approx(float(response.s_ff(w, p)), rel=1e-14)
 
 
 class TestFarField:
