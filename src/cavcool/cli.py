@@ -12,7 +12,6 @@ from `selftest`, when an invariant check fails.
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -44,97 +43,54 @@ MAX_SWEEP_POINTS = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted and written per chunk, which bounds the formatted text held
-# in memory.
-CSV_CHUNK_ROWS = 1024
-
-
-@functools.cache
-def _formatter(kind):
-    """The cell formatter for values of type `kind`."""
-    if issubclass(kind, str):
-        return str
-    if issubclass(kind, (bool, np.bool_)):
-        return lambda value: "1" if value else "0"
-    if issubclass(kind, (int, np.integer)):
-        return lambda value: str(int(value))
-    if kind is float:
-        return "{:.17g}".format
-    return lambda value: format(float(value), ".17g")
-
-
-def _format_column(cells):
-    kinds = set(map(type, cells))
-    if len(kinds) == 1:
-        return list(map(_formatter(kinds.pop()), cells))
-    return [_formatter(type(cell))(cell) for cell in cells]
-
-
-def _column_chunks(rows, width):
-    """`rows` as chunks of at most CSV_CHUNK_ROWS rows, each a list of columns.
-
-    A `_Rows` table gives slices of its block arrays; a row sequence is
-    transposed chunk by chunk, after each row's width is checked.
-    """
-    if isinstance(rows, _Rows):
-        for columns in rows.blocks:
-            for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-                yield [column[start : start + CSV_CHUNK_ROWS] for column in columns]
-        return
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-        for row in chunk:
-            if len(row) != width:
-                raise ValidationError(f"row width {len(row)} does not match schema width {width}")
-        yield list(zip(*chunk))
-
-
 def _column_field(cells):
-    """The `%` field of one column chunk and the cell values that fill it.
+    """The `%` field of one column slice (a 1-d array) and the values that fill it.
 
-    A float64 array column takes `%.17g`.  When at most half of its cells
-    are distinct (by bits, so 0.0 and -0.0 and NaN payloads stay apart),
-    each distinct value is formatted with `%.17g` once and the cells take
-    its text through a `%s` field.  Any other column, a column of a row
-    sequence among them, is formatted cell by cell by `_format_column`,
-    without deduplication, and taken as `%s`.
+    The dtype alone decides: float64 takes `%.17g`, bool `%d` (so `1`/`0`),
+    and strings (object or unicode arrays) `%s`, written as they are.  A
+    float64 slice of which at most half the cells are distinct (by bits, so
+    0.0 and -0.0 and NaN payloads stay apart) formats each distinct value
+    with `%.17g` once, and the cells take its text through `%s`.  Any other
+    dtype is a validation error naming it.
     """
-    if not isinstance(cells, np.ndarray):
-        return "%s", _format_column(cells)
-    if cells.dtype != np.float64:
-        return "%s", _format_column(cells.tolist())
-    distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-    if 2 * len(distinct) > len(cells):
+    if cells.dtype == np.float64:
+        if len(cells) > 1:
+            distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+            if 2 * len(distinct) <= len(cells):
+                text = ["%.17g" % x for x in distinct.view(np.float64).tolist()]
+                return "%s", np.array(text, dtype=object)[inverse].tolist()
         return "%.17g", cells.tolist()
-    text = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
-    return "%s", text[inverse].tolist()
+    if cells.dtype == bool:
+        return "%d", cells.tolist()
+    if cells.dtype == object or cells.dtype.kind == "U":
+        return "%s", cells.tolist()
+    raise ValidationError(f"cannot write a CSV column of dtype {cells.dtype}")
 
 
 def emit_csv(rows, schema, path):
-    """Write rows (sequences matching `schema`, or a `_Rows` table) as CSV with LF endings.
+    """Write a `_Rows` table under the header `schema` as CSV with LF endings.
 
     Floats carry 17 significant digits so a parse-back reproduces them
     bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
-    `1`/`0`.  The rows are read as column chunks of at most CSV_CHUNK_ROWS
-    rows (see `_column_chunks`); each chunk column gets its field and
-    values from `_column_field`, and each row is written with one
-    `%`-format string per chunk.  Only the float64 columns of a `_Rows`
-    table are deduplicated; a row sequence (the one-row point and `oracle`
-    tables) is formatted cell by cell.
+    `1`/`0`.  Each block is written in slices of at most BLOCK_POINTS rows,
+    which bounds the text held in memory: every column slice gets its field
+    and values from `_column_field`, and each row of the slice is written
+    with one `%`-format string.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(schema) + "\n")
-            for columns in _column_chunks(rows, len(schema)):
+            for columns in rows.blocks:
                 if len(columns) != len(schema):
                     raise ValidationError(
                         f"{len(columns)} columns do not match schema width {len(schema)}"
                     )
-                fields = [_column_field(cells) for cells in columns]
-                row_format = ",".join(field for field, _ in fields) + "\n"
-                handle.writelines(row_format % row for row in zip(*(values for _, values in fields)))
+                for start in range(0, len(columns[0]), BLOCK_POINTS):
+                    fields = [_column_field(c[start : start + BLOCK_POINTS]) for c in columns]
+                    row_format = ",".join(field for field, _ in fields) + "\n"
+                    handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -207,11 +163,13 @@ def evaluate_quantities(p, names, omega=None):
     """Evaluate the requested quantities at one parameter point or a block of them.
 
     A block `p` has array fields of one shape (see `_block`), and `omega`,
-    when given, has that shape too; it gives (values dict of arrays, flags
-    array).  A single point with float fields gives Python scalars and a
-    0-d flags array.  Non-cooling, unstable and ill-conditioned points yield
-    NaN for the affected quantities and a descriptive flag; when several
-    apply, the flag of the later name in `names` wins.
+    which `S_ff` requires, has that shape too; it gives (values dict of
+    arrays, flags array).  A single point with float fields gives Python
+    scalars and a 0-d flags array.  Non-cooling, unstable and
+    ill-conditioned points yield NaN for the affected quantities and a
+    descriptive flag: `not_cooling` from the first cooling quantity,
+    `unstable` or `ill_conditioned` from `n_lyapunov`.  When both apply,
+    the later in `names` of those two quantities wins.
     """
     out = {}
     flags = _flags(p.shape)
@@ -219,8 +177,6 @@ def evaluate_quantities(p, names, omega=None):
     verdicts = {}
     for name in names:
         if name == "S_ff":
-            if omega is None:
-                raise ValidationError("quantity S_ff requires an `omega` axis")
             out[name] = response.s_ff(omega, p)
         elif name in COOLING_QUANTITIES:
             if report is None:
@@ -255,11 +211,13 @@ def _block(p, shape):
 
 
 class _Rows:
-    """Table rows held as blocks of equal-length column arrays.
+    """Table rows held as blocks of equal-length 1-d column arrays: the one
+    table form that `emit_csv` writes.
 
-    `emit_csv` writes it from column slices of the blocks, and `len` gives
-    its row count.  Holding columns instead of row objects keeps a sweep
-    near 8 bytes per cell.
+    Each column is float64, bool, or strings (object or unicode), and its
+    dtype decides how its cells are written (see `_column_field`).  `len`
+    gives the row count.  Holding columns instead of row objects keeps a
+    sweep near 8 bytes per cell.
     """
 
     def __init__(self, blocks):
@@ -720,9 +678,9 @@ def _dispatch(args):
         row = [getattr(base, c) for c in columns] + [values[n] for n in names]
         schema = list(columns) + [q.replace("_*", "") for q in quantities]
         if with_flag:
-            row.append(flags.item())
+            row.append(flags)
             schema.append("flag")
-        emit_csv([row], schema, args.out)
+        emit_csv(_columns(*map(np.atleast_1d, row)), schema, args.out)
         return EXIT_OK
 
     if args.subcommand == "oracle":
@@ -734,11 +692,9 @@ def _dispatch(args):
                 file=sys.stderr,
             )
             return EXIT_NUMERIC
-        emit_csv(
-            [[r.kappa, r.Omega_m, r.n_formula, r.n_lyapunov, r.rel_dev, r.stable]],
-            ["kappa", "Omega_m", "n_f_formula", "n_lyapunov", "rel_dev", "stable"],
-            args.out,
-        )
+        row = (r.kappa, r.Omega_m, r.n_formula, r.n_lyapunov, r.rel_dev, r.stable)
+        schema = ["kappa", "Omega_m", "n_f_formula", "n_lyapunov", "rel_dev", "stable"]
+        emit_csv(_columns(*map(np.atleast_1d, row)), schema, args.out)
         return EXIT_OK
 
     if args.subcommand == "sweep":
@@ -762,6 +718,11 @@ def _dispatch(args):
                     raise ValidationError(
                         f"{flag} sets J and delta2p itself; it cannot be combined with {what}"
                     )
+        if ("S_ff" in quantities) != ("omega" in given):
+            raise ValidationError(
+                "quantity S_ff requires an `omega` axis" if "S_ff" in quantities
+                else "an `omega` axis is read only by the quantity S_ff"
+            )
         rows, schema = run_sweep(base, axes, quantities, args.dual, args.preset_coupling)
         emit_csv(rows, schema, args.out)
         return EXIT_OK

@@ -50,7 +50,6 @@ class StabilityVerdict:
 
     stable: bool
     margin: float
-    criterion: str
 
 
 def effective_params(p):
@@ -92,7 +91,7 @@ def stability_single(p):
     """
     lhs = _general_criterion(p.delta2p, p.Omega_m, p.kappa)
     margin = -lhs / (square(p.kappa) * OMEGA_M)
-    return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin), "single_general")
+    return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin))
 
 
 def stability_coupled(p, form="closed"):
@@ -121,7 +120,7 @@ def stability_coupled(p, form="closed"):
             lhs = _general_criterion(eff.Delta_eff, eff.Omega_eff, eff.kappa_eff)
             margin = -lhs / (square(eff.kappa_eff) * OMEGA_M)
     margin = np.where(np.asarray(eff.eta) == 0.0, np.inf, margin)
-    return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin), f"coupled_{form}")
+    return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin))
 
 
 def minimum_coupled_bound(kappa, kappa3):

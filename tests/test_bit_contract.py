@@ -206,15 +206,14 @@ def test_closed_forms_match_point_references(points, swept, omega):
         assert_same(name, getattr(eff, name), [r[name] for r in refs])
 
     margins = [ref_margins(pt) for pt in points]
-    verdicts = (
-        reduction.stability_single(block),
-        reduction.stability_coupled(block, form="closed"),
-        reduction.stability_coupled(block, form="effective"),
-    )
-    for k, verdict in enumerate(verdicts):
-        assert_same(verdict.criterion, verdict.margin, [m[k] for m in margins])
-        stable = [m[k] > 0.0 for m in margins]
-        assert_same(verdict.criterion, verdict.stable, stable)
+    verdicts = {
+        "single_general": reduction.stability_single(block),
+        "coupled_closed": reduction.stability_coupled(block, form="closed"),
+        "coupled_effective": reduction.stability_coupled(block, form="effective"),
+    }
+    for k, (label, verdict) in enumerate(verdicts.items()):
+        assert_same(label, verdict.margin, [m[k] for m in margins])
+        assert_same(label, verdict.stable, [m[k] > 0.0 for m in margins])
 
 
 @SETTINGS

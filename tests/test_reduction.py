@@ -62,7 +62,6 @@ class TestStabilitySingle:
         p = fig5_coupled(100.0).replace(J=0.0, delta2p=40.0)
         verdict = reduction.stability_single(p)
         assert not verdict.stable
-        assert verdict.criterion == "single_general"
 
     def test_red_detuned_weak_coupling_stable(self):
         p = NormalizedParams(delta2p=-50.0, delta3=0.5, kappa=100.0, kappa3=1.0,
@@ -82,7 +81,6 @@ class TestStabilitySingle:
         p = NormalizedParams(delta2p=-kappa / 2, delta3=0.5, kappa=kappa, kappa3=1.0,
                              J=0.0, Omega_m=3.0, gamma=0.0)
         verdict = reduction.stability_single(p)
-        assert verdict.criterion == "single_general"
         assert verdict.stable  # 9 < 16
         verdict2 = reduction.stability_single(p.replace(Omega_m=5.0))
         assert not verdict2.stable  # 25 > 16
