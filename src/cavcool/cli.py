@@ -30,11 +30,13 @@ RECOIL_50NM = params.recoil_heating(50e-9, 2.0, 1e-6)
 
 SWEEPABLE = params.RATE_KEYS + ("omega",)
 
-# Points evaluated per block: bounds the evaluator's temporary arrays.
+# Points evaluated per block: bounds the evaluator's temporary arrays, and a
+# sweep or spectrum holds one block of its table at a time.
 BLOCK_POINTS = 2048
-# Largest sweep grid (axis1.count x axis2.count), a 1000 x 1000 grid.  Rows
-# are held as columns until the CSV is written, 8 bytes per cell, so the
-# widest sweep (every quantity with --dual, 43 columns) stays near 350 MB.
+# Largest sweep or spectrum grid (axis1.count x axis2.count), a 1000 x 1000
+# grid.  Only the axis grids (8 bytes per value) and one block are held, so
+# the cap bounds run time and file size: the widest sweep (every quantity but
+# S_ff with --dual, 41 columns) writes about 600 bytes per row, 0.6 GB here.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -72,10 +74,9 @@ def emit_csv(rows, schema, path):
 
     Floats carry 17 significant digits so a parse-back reproduces them
     bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
-    `1`/`0`.  Each block is written in slices of at most BLOCK_POINTS rows,
-    which bounds the text held in memory: every column slice gets its field
-    and values from `_column_field`, and each row of the slice is written
-    with one `%`-format string.
+    `1`/`0`.  The blocks are read once, in order, after the header is
+    written; a lazily evaluated table (a sweep or spectrum) is evaluated
+    here, one block at a time.  Each block is written by `_write_block`.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
@@ -87,12 +88,23 @@ def emit_csv(rows, schema, path):
                     raise ValidationError(
                         f"{len(columns)} columns do not match schema width {len(schema)}"
                     )
-                for start in range(0, len(columns[0]), BLOCK_POINTS):
-                    fields = [_column_field(c[start : start + BLOCK_POINTS]) for c in columns]
-                    row_format = ",".join(field for field, _ in fields) + "\n"
-                    handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
+                _write_block(handle, columns)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+
+
+def _write_block(handle, columns):
+    """Write one block's rows in slices of at most BLOCK_POINTS rows.
+
+    This bounds the text held in memory, and it is freed on return, before
+    a lazily evaluated table makes its next block: every column slice gets
+    its field and values from `_column_field`, and each row of the slice is
+    written with one `%`-format string.
+    """
+    for start in range(0, len(columns[0]), BLOCK_POINTS):
+        fields = [_column_field(c[start : start + BLOCK_POINTS]) for c in columns]
+        row_format = ",".join(field for field, _ in fields) + "\n"
+        handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
 
 
 def _write_gnuplot(path, csv_path, title, xlabel, ylabel, columns, logy=False, surface=None):
@@ -175,6 +187,14 @@ def evaluate_quantities(p, names, omega=None):
     flags = _flags(p.shape)
     report = eff = exact = None
     verdicts = {}
+
+    def effective():
+        # One effective_params per call: the coupled verdict reuses it.
+        nonlocal eff
+        if eff is None:
+            eff = reduction.effective_params(p)
+        return eff
+
     for name in names:
         if name == "S_ff":
             out[name] = response.s_ff(omega, p)
@@ -186,13 +206,14 @@ def evaluate_quantities(p, names, omega=None):
         elif name == "delta_omega_m":
             out[name] = cooling.spring_shift(p)
         elif name in EFFECTIVE_QUANTITIES:
-            if eff is None:
-                eff = reduction.effective_params(p)
-            out[name] = getattr(eff, name)
+            out[name] = getattr(effective(), name)
         elif name in STABILITY_QUANTITIES:
             kind, series = name.split("_")
             if series not in verdicts:
-                verdicts[series] = getattr(reduction, f"stability_{series}")(p)
+                verdicts[series] = (
+                    reduction.stability_single(p) if series == "single"
+                    else reduction.stability_coupled(p, eff=effective())
+                )
             out[name] = getattr(verdicts[series], kind)
         elif name in EXACT_QUANTITIES:
             if exact is None:
@@ -211,25 +232,34 @@ def _block(p, shape):
 
 
 class _Rows:
-    """Table rows held as blocks of equal-length 1-d column arrays: the one
-    table form that `emit_csv` writes.
+    """A table as blocks of equal-length 1-d column arrays, and its row
+    count: the one table form that `emit_csv` writes.
 
     Each column is float64, bool, or strings (object or unicode), and its
-    dtype decides how its cells are written (see `_column_field`).  `len`
-    gives the row count.  Holding columns instead of row objects keeps a
-    sweep near 8 bytes per cell.
+    dtype decides how its cells are written (see `_column_field`).
+    `blocks` is read once: a sweep or spectrum passes a generator that
+    evaluates each block as it is written, so only one block is held.
+    `len` gives the row count `count`, known before any block is made.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, count):
         self.blocks = blocks
+        self.count = count
 
     def __len__(self):
-        return sum(len(columns[0]) for columns in self.blocks)
+        return self.count
 
 
 def _columns(*arrays):
-    """Rows of equal-length columns."""
-    return _Rows([arrays])
+    """Rows of equal-length columns, held as one block."""
+    return _Rows([arrays], len(arrays[0]))
+
+
+def _block_slices(size):
+    """The slices of `range(size)` that BLOCK_POINTS cuts it into."""
+    return (
+        slice(start, min(start + BLOCK_POINTS, size)) for start in range(0, size, BLOCK_POINTS)
+    )
 
 
 # Subcommands evaluated at the config point: subcommand -> (parameter
@@ -342,32 +372,46 @@ def run_sweep(base, axes, quantities, dual, preset_coupling):
     With `dual` each point is evaluated for the coupled and the single-cavity
     series; the row's flag is the coupled one unless that is `ok`.  Grids of
     more than MAX_SWEEP_POINTS points are rejected before anything is allocated.
+
+    The rows are evaluated lazily, one block of BLOCK_POINTS points at a
+    time, as `emit_csv` writes them.  Every block's parameters are built
+    once here first, so a point outside its field's domain raises before
+    the CSV is opened.
     """
     size = _grid_size("sweep", axes)
     names = [axis.name for axis in axes]
-    mesh = np.meshgrid(*(axis.grid() for axis in axes), indexing="ij")
-    grid = [column.ravel() for column in mesh]
-    blocks = []
-    for start in range(0, size, BLOCK_POINTS):
-        point = [column[start : start + BLOCK_POINTS] for column in grid]
-        p, omega = _sweep_params(base, names, point, preset_coupling)
-        series = (p, _single_cavity(p)) if dual else (p,)
-        results = [evaluate_quantities(q, quantities, omega) for q in series]
-        columns = list(point)
-        for name in quantities:
-            columns.extend(values[name] for values, _ in results)
-        coupled_flags, last_flags = results[0][1], results[-1][1]
-        columns.append(np.where(coupled_flags != "ok", coupled_flags, last_flags))
-        blocks.append(columns)
+    grids = [axis.grid() for axis in axes]
+    shape = tuple(axis.count for axis in axes)
 
-    schema = names
+    def points():
+        # Each block's axis columns, as the last axis varies fastest, and its parameters.
+        for block in _block_slices(size):
+            index = np.unravel_index(np.arange(block.start, block.stop), shape)
+            point = [grid[i] for grid, i in zip(grids, index)]
+            yield point, _sweep_params(base, names, point, preset_coupling)
+
+    for _ in points():  # the parameters-only pass
+        pass
+
+    def blocks():
+        for point, (p, omega) in points():
+            series = (p, _single_cavity(p)) if dual else (p,)
+            results = [evaluate_quantities(q, quantities, omega) for q in series]
+            columns = list(point)
+            for name in quantities:
+                columns.extend(values[name] for values, _ in results)
+            coupled_flags, last_flags = results[0][1], results[-1][1]
+            columns.append(np.where(coupled_flags != "ok", coupled_flags, last_flags))
+            yield columns
+
+    schema = list(names)
     if dual:
         for name in quantities:
             schema.extend([f"{name}_coupled", f"{name}_single"])
     else:
         schema.extend(quantities)
     schema.append("flag")
-    return _Rows(blocks), schema
+    return _Rows(blocks(), size), schema
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +709,10 @@ def _dispatch(args):
         axis = parse_axis(args.axis1)
         if axis.name != "omega":
             raise ValidationError("spectrum axis must be `omega`")
-        _grid_size("spectrum", [axis])
+        size = _grid_size("spectrum", [axis])
         grid = axis.grid()
-        emit_csv(_columns(grid, response.s_ff(grid, base)), ["omega", "S"], args.out)
+        blocks = ((grid[b], response.s_ff(grid[b], base)) for b in _block_slices(size))
+        emit_csv(_Rows(blocks, size), ["omega", "S"], args.out)
         return EXIT_OK
 
     if args.subcommand in POINT_SUBCOMMANDS:

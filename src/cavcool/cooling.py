@@ -71,8 +71,11 @@ def closed_form_detuning(p):
 
     Places the dressed auxiliary resonance on the cooling sideband; the
     figure presets and the ground-state-window sweeps use this choice.
+    At delta3 = -omega_m it is not finite, and no warning is raised: a
+    caller that builds parameters from it rejects the point.
     """
-    return unwrap(square(p.J) / (p.delta3 + OMEGA_M))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return unwrap(square(p.J) / (p.delta3 + OMEGA_M))
 
 
 def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=2001, tol=1e-6):

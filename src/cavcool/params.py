@@ -10,11 +10,15 @@ sphere description (radius_nm, epsilon, lambda_um), from which
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+
+# Largest magnitude of a parameter value: `square` of anything larger overflows.
+MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,7 @@ class NormalizedParams:
     real and nonnegative.  gamma_sc is the photon-recoil phonon heating rate,
     n_th the thermal bath occupancy.  Each field is a float or an ndarray;
     `shape` is the broadcast shape of all fields, () for a single point.
+    Every value must be finite and at most MAX_MAGNITUDE in magnitude.
     """
 
     delta2p: float
@@ -46,8 +51,8 @@ class NormalizedParams:
         _require_nonnegative(self.J, "J")
         _require_nonnegative(self.Omega_m, "Omega_m")
         for name in ("delta2p", "delta3"):
-            if _failures(getattr(self, name), _unbounded):
-                raise ValidationError(f"{name} must be finite")
+            if bad := _failures(getattr(self, name), _bounded):
+                raise _invalid(name, bad[0], _bounded, f"{name} must be finite")
         shapes = {getattr(getattr(self, k), "shape", ()) for k in RATE_KEYS}
         try:
             shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
@@ -70,39 +75,54 @@ class SweptJ(NormalizedParams):
 
 
 def _failures(value, in_range):
-    """The elements of `value` that are not finite or where `in_range` is false.
+    """The elements of `value` where `in_range` is false.
 
-    A Python float is tested with `math`; any other value (an int, a numpy
-    scalar, an array) with numpy, on which `in_range` compares elementwise.
+    Every `in_range` below fails NaN, inf and magnitudes above
+    MAX_MAGNITUDE.  A Python float is compared as it is; any other value (an
+    int, a numpy scalar, an array) as an array, elementwise.
     """
     if type(value) is float:
-        return [] if math.isfinite(value) and in_range(value) else [value]
-    ok = np.isfinite(value) & in_range(value)
+        return [] if in_range(value) else [value]
+    value = np.asarray(value)
+    ok = in_range(value)
     if ok.all():
         return []
-    return np.asarray(value)[~np.asarray(ok)].tolist() if np.ndim(value) else [value]
+    return value[~ok].tolist() if value.ndim else [value.item()]
 
 
 def _positive(x):
-    return x > 0.0
+    return (x > 0.0) & (x <= MAX_MAGNITUDE)
 
 
 def _nonnegative(x):
-    return x >= 0.0
+    return (x >= 0.0) & (x <= MAX_MAGNITUDE)
 
 
-def _unbounded(x):
-    return True
+def _bounded(x):
+    return abs(x) <= MAX_MAGNITUDE
+
+
+def _invalid(name, x, in_range, message):
+    """The error for a failing value `x` of `name`: a finite `x` that
+    `in_range` accepts once clipped to MAX_MAGNITUDE is too large; any other
+    `x` gets `message`."""
+    if math.isfinite(x) and in_range(max(-MAX_MAGNITUDE, min(x, MAX_MAGNITUDE))):
+        return ValidationError(
+            f"{name} must be at most {MAX_MAGNITUDE:.4g} in magnitude, got {x}"
+        )
+    return ValidationError(message)
 
 
 def _require_positive(value, name):
     if bad := _failures(value, _positive):
-        raise ValidationError(f"{name} must be positive and finite, got {bad[0]}")
+        raise _invalid(name, bad[0], _positive, f"{name} must be positive and finite, got {bad[0]}")
 
 
 def _require_nonnegative(value, name):
     if bad := _failures(value, _nonnegative):
-        raise ValidationError(f"{name} must be nonnegative and finite, got {bad[0]}")
+        raise _invalid(
+            name, bad[0], _nonnegative, f"{name} must be nonnegative and finite, got {bad[0]}"
+        )
 
 
 def square(x):

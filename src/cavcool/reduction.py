@@ -94,7 +94,7 @@ def stability_single(p):
     return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin))
 
 
-def stability_coupled(p, form="closed"):
+def stability_coupled(p, form="closed", eff=None):
     """Coupled-cavity stability from the effective two-mode system.
 
     form="closed" evaluates the closed bound
@@ -103,11 +103,13 @@ def stability_coupled(p, form="closed"):
     the general inequality to (Delta_eff, Omega_eff, kappa_eff) with the
     effective mechanical frequency taken equal to omega_m.  eta = 0 is
     degenerate: the criterion constrains nothing, so the verdict is stable
-    with infinite margin.
+    with infinite margin.  `eff` is `effective_params(p)` when the caller
+    has it already; it is computed otherwise.
     """
     if form not in ("closed", "effective"):
         raise ValueError(f"form must be 'closed' or 'effective', got {form!r}")
-    eff = effective_params(p)
+    if eff is None:
+        eff = effective_params(p)
     with np.errstate(all="ignore"):
         if form == "closed":
             scale = 4.0 * square(OMEGA_M) + square(eff.kappa_eff)

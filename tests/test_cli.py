@@ -3,6 +3,8 @@
 import math
 import re
 import struct
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -66,7 +68,7 @@ class TestEmitCsv:
 
     def test_duplicate_columns_rejected(self, tmp_path):
         with pytest.raises(Exception):
-            cli.emit_csv(cli._Rows([]), ["x", "x"], tmp_path / "dup.csv")
+            cli.emit_csv(cli._Rows([], 0), ["x", "x"], tmp_path / "dup.csv")
 
     def test_cell_text_per_dtype(self, tmp_path):
         # float64, bool, object and unicode string columns, one-row blocks too.
@@ -76,7 +78,7 @@ class TestEmitCsv:
         table = cli._Rows([
             [floats, flags, column("ok", "unstable", "%s", "", dtype=object), column(*"abcd")],
             [column(2.0), column(True), column("ill_conditioned"), column("ok", dtype=object)],
-        ])
+        ], 5)
         cli.emit_csv(table, ["a", "b", "c", "d"], out)
         assert out.read_text().splitlines()[1:] == [
             "0.10000000000000001,1,ok,a",
@@ -93,7 +95,7 @@ class TestEmitCsv:
             cli.emit_csv(cli._columns(cells), ["x"], tmp_path / "d.csv")
 
     def test_column_count_checked(self, tmp_path):
-        table = cli._Rows([[np.zeros(3), np.zeros(3)], [np.zeros(2)]])
+        table = cli._Rows([[np.zeros(3), np.zeros(3)], [np.zeros(2)]], 5)
         with pytest.raises(cli.ValidationError, match="1 columns do not match schema width 2"):
             cli.emit_csv(table, ["x", "y"], tmp_path / "w.csv")
 
@@ -157,7 +159,7 @@ def tables(draw):
     cuts = [0] + sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3))) + [len(rows)]
     blocks = [[column[a:b] for column in columns] for a, b in zip(cuts, cuts[1:])]
     text = [[CELL_TEXT[kind](cell) for kind, cell in zip(kinds, row)] for row in rows]
-    return [f"c{k}" for k in range(len(kinds))], text, cli._Rows(blocks)
+    return [f"c{k}" for k in range(len(kinds))], text, cli._Rows(blocks, len(rows))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -184,24 +186,50 @@ def test_rows_match_per_cell_formatting(tmp_path, table, slice_rows):
     (["sweep", "--axis1", "kappa:10:100:3:log",
       "--axis2", "Omega_m:0.1:0.3:4:lin", "--quantity", "n_f,stable", "--dual"], 12),
     (["figure", "--id", "fig5b"], 200),
+    (["spectrum", "--axis1", "omega:-3:3:5000:lin"], 5000),
+    (["sweep", "--axis1", "kappa:10:100:50:log",
+      "--axis2", "Omega_m:0.1:0.3:50:lin", "--quantity", "n_f,stable", "--dual"], 2500),
 ])
 def test_emit_csv_row_count_is_data_lines(config_path, tmp_path, monkeypatch, argv, count):
     """`len(rows)` of the table handed to `emit_csv`, which the traced
     benchmark reports as `cli.emit_csv.rows`, is the number of data lines
-    written, for every point subcommand, `oracle`, `spectrum`, a sweep and a
-    figure."""
+    written, before and after the write, for every point subcommand,
+    `oracle`, `spectrum`, a sweep and a figure; the 5,000-point spectrum and
+    the 50 x 50 sweep are evaluated block by block as they are written."""
     emit, counts = cli.emit_csv, []
 
     def counting(rows, schema, path):
         counts.append(len(rows))
         emit(rows, schema, path)
+        counts.append(len(rows))
 
     monkeypatch.setattr(cli, "emit_csv", counting)
     out = tmp_path / "out.csv"
     config = [] if argv[0] == "figure" else ["--config", config_path]
     assert cli.main(argv + config + ["--out", str(out)]) == 0
-    assert counts == [count]
+    assert counts == [count, count]
     assert len(out.read_text().splitlines()) == count + 1
+
+
+def test_sweep_memory_does_not_grow_with_grid(config_path, tmp_path):
+    """A sweep holds one block of its table at a time: the traced peak of a
+    40,000-point sweep is at most 1.5 times that of a 4,000-point one."""
+    def peak(count1, count2):
+        argv = [
+            "sweep", "--config", config_path, "--out", str(tmp_path / "mem.csv"),
+            "--axis1", f"kappa:1:1000:{count1}:log", "--axis2", f"delta3:-0.5:2:{count2}:lin",
+            "--quantity", "n_f,Gamma_opt,margin_coupled,eta", "--dual", "--preset-coupling",
+        ]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4, 4)  # builds the parser and numpy's lazy state outside the measurement
+    small, large = peak(80, 50), peak(200, 200)
+    assert large <= 1.5 * small, (small, large)
 
 
 class TestSpectrumCommand:
@@ -470,6 +498,56 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("axes", [
+        pytest.param(["--axis1", "kappa:1:10:3:log", "--axis2", "delta3:-2:0:5:lin"],
+                     id="first-block"),
+        # 2,460 points; delta3 = -1 first comes at row 2,400, in the second block.
+        pytest.param(["--axis1", "delta3:-0.5:-1:41:lin", "--axis2", "kappa:1:10:60:log"],
+                     id="second-block"),
+    ])
+    def test_preset_coupling_pole_exits_2_before_writing(
+        self, config_path, tmp_path, monkeypatch, capsys, axes
+    ):
+        # delta2p = J^2/(delta3 + 1) is not finite at delta3 = -1: the sweep
+        # exits 2 without a warning, before any point is evaluated, and an
+        # existing output file keeps its bytes.
+        def evaluate(*args, **kwargs):
+            raise AssertionError("an invalid sweep evaluated a point")
+
+        monkeypatch.setattr(cli, "evaluate_quantities", evaluate)
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"kappa,n_f,flag\n1,2,ok\n")
+        argv = ["sweep", "--config", config_path, "--out", str(out), "--quantity", "n_f"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv + axes + ["--preset-coupling"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: delta2p must be finite\n"
+        assert out.read_bytes() == b"kappa,n_f,flag\n1,2,ok\n"
+
+    def test_one_effective_params_per_series_and_block(self, config_path, tmp_path, monkeypatch):
+        # eta and the coupled verdict share one effective_params per series.
+        shapes = []
+        effective_params = reduction.effective_params
+
+        def counted(p):
+            shapes.append(p.shape)
+            return effective_params(p)
+
+        monkeypatch.setattr(reduction, "effective_params", counted)
+        out = str(tmp_path / "e.csv")
+        rc = cli.main([
+            "sweep", "--config", config_path, "--out", out,
+            "--axis1", "kappa:1:1000:50:log", "--axis2", "delta3:-0.5:2:60:lin",
+            "--quantity", "n_f,Gamma_opt,margin_coupled,eta", "--dual", "--preset-coupling",
+        ])
+        assert rc == 0
+        # 3,000 points: two blocks, each with a coupled and a single-cavity series.
+        assert shapes == [(2048,), (2048,), (952,), (952,)]
+        shapes.clear()
+        assert cli.main(["stability", "--config", config_path, "--out", out]) == 0
+        assert shapes == [()]
+
     def test_single_cavity_sweep_matches_dual_single_series(self, config_path, tmp_path):
         # Over an axis other than kappa, J and delta2p, --single-cavity gives
         # the single-cavity series that --dual writes beside the coupled one.
@@ -721,6 +799,38 @@ class TestExitCodes:
         rc = cli.main(["limit", "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert "n_th must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("Omega_m", "1e308"), ("J", "1e200")])
+    @pytest.mark.parametrize("argv", [
+        ["oracle"], ["limit"], ["stability"], ["spectrum"],
+        ["sweep", "--axis1", "kappa:1:10:3:log", "--quantity", "stable,max_real_eig,n_lyapunov"],
+    ], ids=lambda argv: argv[0])
+    def test_huge_finite_parameter_exits_2(self, tmp_path, capsys, key, value, argv):
+        # Above sqrt(float max) the square of a field overflows; the point is
+        # rejected by name before anything is evaluated.
+        config = tmp_path / "huge.cfg"
+        config.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", CONFIG))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv + ["--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} must be at most 1.341e+154 in magnitude, got {float(value)}\n"
+        )
+        assert not out.exists()
+
+    def test_huge_axis_value_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = cli.main([
+            "sweep", "--config", config_path, "--out", str(out),
+            "--axis1", "Omega_m:0.1:1e200:5:log", "--quantity", "n_f,stable,max_real_eig",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: Omega_m must be at most 1.341e+154 in magnitude, got 1e+200\n"
+        )
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ class TestValidationTable:
             message += f", got {bad}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             NormalizedParams(**dict(VALID_POINT, **{name: FORMS[form](bad)}))
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("name", params.RATE_KEYS)
+    def test_magnitude_above_square_root_of_float_max_rejected(self, name, form):
+        # Above sqrt(float max), `square` of the field overflows.
+        assert params.MAX_MAGNITUDE == math.sqrt(sys.float_info.max)
+        for big in (1e200, 1e308, math.nextafter(params.MAX_MAGNITUDE, math.inf)):
+            message = f"{name} must be at most 1.341e+154 in magnitude, got {big}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                NormalizedParams(**dict(VALID_POINT, **{name: FORMS[form](big)}))
+        if CONSTRAINTS[name][0] == "finite":
+            with pytest.raises(ValidationError, match=f"^{name} must be at most"):
+                NormalizedParams(**dict(VALID_POINT, **{name: FORMS[form](-1e200)}))
+        for fine in (1.3e154, params.MAX_MAGNITUDE):
+            p = NormalizedParams(**dict(VALID_POINT, **{name: FORMS[form](fine)}))
+            assert np.all(np.isfinite(params.square(getattr(p, name))))
 
     def test_int_and_numpy_scalar_fields_are_one_point(self):
         ints = NormalizedParams(**{k: int(math.ceil(v)) for k, v in VALID_POINT.items()})
