@@ -3,11 +3,13 @@
 Every subcommand writes an RFC-4180-style CSV (header row, LF endings,
 17-significant-digit floats) so that two runs with the same inputs produce
 byte-identical files.  `figure` additionally writes a gnuplot script sidecar
-referencing the CSV.  Exit codes: 0 success, 2 validation/usage error,
-3 numeric failure.  Non-cooling, unstable or ill-conditioned parameter
-points are data (flag columns / NaN values), not failures.  Exit 3 comes
-from `oracle`, when its Lyapunov solve misses the residual target, and
-from `selftest`, when an invariant check fails.
+referencing the CSV.  Every CSV but `oracle`'s is a `tabulate` table (axes,
+the parameters of each series, columns), evaluated by `evaluate_quantities`
+one block at a time as `emit_csv` writes it.  Exit codes: 0 success, 2
+validation/usage error, 3 numeric failure.  Non-cooling, unstable or
+ill-conditioned parameter points are data (flag columns / NaN values), not
+failures.  Exit 3 comes from `oracle`, when its Lyapunov solve misses the
+residual target, and from `selftest`, when an invariant check fails.
 """
 
 import argparse
@@ -31,7 +33,7 @@ RECOIL_50NM = params.recoil_heating(50e-9, 2.0, 1e-6)
 SWEEPABLE = params.RATE_KEYS + ("omega",)
 
 # Points evaluated per block: bounds the evaluator's temporary arrays, and a
-# sweep or spectrum holds one block of its table at a time.
+# `tabulate` table (a sweep, spectrum or figure) holds one block at a time.
 BLOCK_POINTS = 2048
 # Largest sweep or spectrum grid (axis1.count x axis2.count), a 1000 x 1000
 # grid.  Only the axis grids (8 bytes per value) and one block are held, so
@@ -237,9 +239,9 @@ class _Rows:
 
     Each column is float64, bool, or strings (object or unicode), and its
     dtype decides how its cells are written (see `_column_field`).
-    `blocks` is read once: a sweep or spectrum passes a generator that
-    evaluates each block as it is written, so only one block is held.
-    `len` gives the row count `count`, known before any block is made.
+    `blocks` is read once: `tabulate` passes a generator that evaluates
+    each block as it is written, so only one block is held.  `len` gives
+    the row count `count`, known before any block is made.
     """
 
     def __init__(self, blocks, count):
@@ -255,26 +257,65 @@ def _columns(*arrays):
     return _Rows([arrays], len(arrays[0]))
 
 
-def _block_slices(size):
-    """The slices of `range(size)` that BLOCK_POINTS cuts it into."""
-    return (
-        slice(start, min(start + BLOCK_POINTS, size)) for start in range(0, size, BLOCK_POINTS)
-    )
+def tabulate(axes, series, columns):
+    """(rows, schema) of `columns` over the grid of `axes`: the one path from
+    parameters to a CSV table, for every product but `oracle`.
+
+    `axes` are (name, 1-d grid) pairs; the rows run over their grid with the
+    last axis varying fastest, and with no axes there is one row.
+    `series(point)` gives the parameters of each series for one block, whose
+    axis columns `point` holds by name.  `columns` are (header, source,
+    series index) triples.  A source is a quantity or `flag` of that series,
+    an axis name, or a parameter field of that series; an `omega` axis is
+    the frequency of `S_ff`.  A `flag` of series None is the first series'
+    flag where that is not `ok`, and the last series' flag elsewhere.
+
+    Every block's parameters are built once here first, so a point outside
+    its field's domain raises before the CSV is opened.  The rows are then
+    evaluated one block of BLOCK_POINTS points at a time, as `emit_csv`
+    writes them, each series by one `evaluate_quantities` call.
+    """
+    names = [name for name, _ in axes]
+    grids = [grid for _, grid in axes]
+    shape = tuple(len(grid) for grid in grids)
+    size = math.prod(shape)
+
+    def points():
+        for start in range(0, size, BLOCK_POINTS):
+            stop = min(start + BLOCK_POINTS, size)
+            index = np.unravel_index(np.arange(start, stop), shape) if shape else ()
+            point = {name: grid[i] for name, grid, i in zip(names, grids, index)}
+            yield stop - start, point, series(point)
+
+    for _ in points():  # the parameters-only pass
+        pass
+
+    def blocks():
+        for count, point, ps in points():
+            sources = []  # per series: its fields, quantities and flag by name
+            for i, p in enumerate(ps):
+                wanted = [s for _, s, j in columns if j == i and s in QUANTITIES]
+                values, flags = evaluate_quantities(p, wanted, point.get("omega"))
+                sources.append({**vars(p), **values, "flag": flags})
+            first, last = sources[0]["flag"], sources[-1]["flag"]
+            shared = point | {"flag": np.where(first != "ok", first, last)}
+            yield [
+                np.broadcast_to((shared if i is None else sources[i])[source], count)
+                for _, source, i in columns
+            ]
+
+    return _Rows(blocks(), size), [header for header, _, _ in columns]
 
 
-# Subcommands evaluated at the config point: subcommand -> (parameter
-# columns, quantity columns, whether a flag column is written).  In a
-# quantity column `*` is the series, `single` when J = 0 and `coupled`
-# otherwise; the CSV header drops that suffix.
+# Subcommands evaluated at the config point -> their column sources (see
+# `tabulate`).  In a quantity `*` is the series, `single` when J = 0 and
+# `coupled` otherwise; the CSV header drops that suffix.
 POINT_SUBCOMMANDS = {
-    "rates": (("kappa", "delta2p"), COOLING_QUANTITIES[:3], True),
-    "limit": (("kappa", "delta2p"), COOLING_QUANTITIES, True),
-    "stability": (
-        ("kappa", "kappa3", "J", "delta2p"),
-        EFFECTIVE_QUANTITIES[:4] + ("stable_*", "margin_*"),
-        False,
-    ),
-    "effective": (("kappa", "kappa3", "J", "delta2p"), EFFECTIVE_QUANTITIES, False),
+    "rates": ("kappa", "delta2p") + COOLING_QUANTITIES[:3] + ("flag",),
+    "limit": ("kappa", "delta2p") + COOLING_QUANTITIES + ("flag",),
+    "stability": ("kappa", "kappa3", "J", "delta2p")
+    + EFFECTIVE_QUANTITIES[:4] + ("stable_*", "margin_*"),
+    "effective": ("kappa", "kappa3", "J", "delta2p") + EFFECTIVE_QUANTITIES,
 }
 
 
@@ -329,17 +370,15 @@ def _preset_coupled(fields):
     return p.replace(delta2p=cooling.closed_form_detuning(p))
 
 
-def _sweep_params(base, names, point, preset_coupling):
-    """Block params for grid points given as axis columns; returns (params, omega or None)."""
-    fields = {k: getattr(base, k) for k in params.RATE_KEYS}
-    assignments = dict(zip(names, point))
-    omega = assignments.pop("omega", None)
-    fields.update(assignments)
+def _sweep_params(base, point, preset_coupling):
+    """Block params for grid points given as axis columns (`omega` is not a field)."""
+    swept = {k: v for k, v in point.items() if k != "omega"}
+    fields = {k: getattr(base, k) for k in params.RATE_KEYS} | swept
     if preset_coupling:
         p = _preset_coupled(fields)
     else:
-        p = (params.SweptJ if "J" in assignments else params.NormalizedParams)(**fields)
-    return _block(p, point[0].shape), omega
+        p = (params.SweptJ if "J" in swept else params.NormalizedParams)(**fields)
+    return _block(p, next(iter(point.values())).shape)
 
 
 # Sweep flags that set J and delta2p themselves -> the swept axes and flags
@@ -351,14 +390,13 @@ SWEEP_FLAG_CONFLICTS = {
 }
 
 
-def _grid_size(kind, axes):
-    """Points in the grid of `axes`; more than MAX_SWEEP_POINTS is a validation error."""
+def _check_grid_size(kind, axes):
+    """Refuse a grid of `axes` of more than MAX_SWEEP_POINTS points."""
     size = math.prod(axis.count for axis in axes)
     if size > MAX_SWEEP_POINTS:
         raise ValidationError(
             f"{kind} of {size} points exceeds the limit of {MAX_SWEEP_POINTS} points"
         )
-    return size
 
 
 def _single_cavity(p):
@@ -366,52 +404,25 @@ def _single_cavity(p):
 
 
 def run_sweep(base, axes, quantities, dual, preset_coupling):
-    """(rows, schema) of `quantities` over the grid of `axes`, in axis order, in blocks of points.
+    """(rows, schema) of `quantities` over the grid of `axes`, by `tabulate`.
 
+    Each block of points is `base` with the axis values broadcast over it.
     With `preset_coupling` each point takes J and delta2p from `_preset_coupled`.
     With `dual` each point is evaluated for the coupled and the single-cavity
     series; the row's flag is the coupled one unless that is `ok`.  Grids of
     more than MAX_SWEEP_POINTS points are rejected before anything is allocated.
-
-    The rows are evaluated lazily, one block of BLOCK_POINTS points at a
-    time, as `emit_csv` writes them.  Every block's parameters are built
-    once here first, so a point outside its field's domain raises before
-    the CSV is opened.
     """
-    size = _grid_size("sweep", axes)
-    names = [axis.name for axis in axes]
-    grids = [axis.grid() for axis in axes]
-    shape = tuple(axis.count for axis in axes)
+    _check_grid_size("sweep", axes)
 
-    def points():
-        # Each block's axis columns, as the last axis varies fastest, and its parameters.
-        for block in _block_slices(size):
-            index = np.unravel_index(np.arange(block.start, block.stop), shape)
-            point = [grid[i] for grid, i in zip(grids, index)]
-            yield point, _sweep_params(base, names, point, preset_coupling)
+    def series(point):
+        p = _sweep_params(base, point, preset_coupling)
+        return (p, _single_cavity(p)) if dual else (p,)
 
-    for _ in points():  # the parameters-only pass
-        pass
-
-    def blocks():
-        for point, (p, omega) in points():
-            series = (p, _single_cavity(p)) if dual else (p,)
-            results = [evaluate_quantities(q, quantities, omega) for q in series]
-            columns = list(point)
-            for name in quantities:
-                columns.extend(values[name] for values, _ in results)
-            coupled_flags, last_flags = results[0][1], results[-1][1]
-            columns.append(np.where(coupled_flags != "ok", coupled_flags, last_flags))
-            yield columns
-
-    schema = list(names)
-    if dual:
-        for name in quantities:
-            schema.extend([f"{name}_coupled", f"{name}_single"])
-    else:
-        schema.extend(quantities)
-    schema.append("flag")
-    return _Rows(blocks(), size), schema
+    suffixes = ("_coupled", "_single") if dual else ("",)
+    columns = [(axis.name, axis.name, None) for axis in axes]
+    columns += [(q + suffix, q, i) for q in quantities for i, suffix in enumerate(suffixes)]
+    columns.append(("flag", "flag", None))
+    return tabulate([(axis.name, axis.grid()) for axis in axes], series, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -437,124 +448,111 @@ FIGURE_PRESETS = {
     "fig6b": dict(FIG456_COMMON, gamma_sc=RECOIL_50NM, kappas=(10.0, 50.0, 100.0)),
 }
 
-
-def _fig3_rows(preset):
-    keys = ("delta2p", "delta3", "kappa", "kappa3", "J", "Omega_m", "gamma")
-    p = params.NormalizedParams(**{k: preset[k] for k in keys})
-    lo, hi, count = preset["window"]
-    grid = np.linspace(lo, hi, count)
-    s_coupled = response.s_ff(grid, p)
-    s_single = response.s_ff(grid, p.replace(J=0.0))
-    return _columns(grid, s_coupled, s_single), ["omega", "S_coupled", "S_single"]
+# Each figure builder below gives the (axes, series, columns) of `tabulate`.
 
 
-def _fig4_rows(preset):
-    kappa, ratio = (c.ravel() for c in np.meshgrid(
-        np.geomspace(1.0, 1000.0, 61), np.linspace(-3.0, 3.0, 121), indexing="ij"
-    ))
-    delta2p = ratio * kappa
-    p = params.NormalizedParams(
-        delta2p=delta2p,
-        delta3=preset["delta3"],
-        kappa=kappa,
-        kappa3=preset["kappa3"],
-        J=0.0 if preset["single"] else params.j_sideband_preset(kappa),
-        Omega_m=preset["Omega_m"],
-        gamma=preset["gamma"],
-    )
-    return _columns(kappa, delta2p, cooling.net_rate(p)), ["kappa", "delta2p", "Gamma_opt"]
+def _preset_fields(preset, **changes):
+    """The parameter fields that `preset` sets, with `changes` applied."""
+    return {k: preset[k] for k in params.RATE_KEYS if k in preset} | changes
 
 
-def _n_f_rows(x_name, grid, labels, points):
-    """n_f and its flag for each series along one axis; `points(grid)` gives one block per label."""
-    columns = [grid]
-    for p in points(grid):
-        values, flags = evaluate_quantities(p, ("n_f",))
-        columns.extend([values["n_f"], flags])
-    schema = [x_name] + [f"{k}_{label}" for label in labels for k in ("n_f", "flag")]
-    return _columns(*columns), schema
+def _fig3(preset):
+    # The preset point itself, not a block: its omega grid keeps numpy's arithmetic.
+    p = params.NormalizedParams(**_preset_fields(preset))
+    pair = (p, p.replace(J=0.0))
+    columns = [("omega", "omega", None), ("S_coupled", "S_ff", 0), ("S_single", "S_ff", 1)]
+    return [("omega", np.linspace(*preset["window"]))], lambda point: pair, columns
 
 
-def _coupled_preset_params(kappa, preset, kappa3=None, gamma_sc=None):
-    return _preset_coupled(dict(
-        delta3=preset["delta3"],
-        kappa=kappa,
-        kappa3=preset["kappa3"] if kappa3 is None else kappa3,
-        Omega_m=preset["Omega_m"],
-        gamma=preset["gamma"],
-        gamma_sc=preset.get("gamma_sc", 0.0) if gamma_sc is None else gamma_sc,
-    ))
+def _fig4(preset):
+    def series(point):
+        kappa = point["kappa"]
+        j = 0.0 if preset["single"] else params.j_sideband_preset(kappa)
+        fields = _preset_fields(preset, kappa=kappa, delta2p=point["ratio"] * kappa, J=j)
+        return (params.NormalizedParams(**fields),)
+
+    axes = [("kappa", np.geomspace(1.0, 1000.0, 61)), ("ratio", np.linspace(-3.0, 3.0, 121))]
+    columns = [("kappa", "kappa", None), ("delta2p", "delta2p", 0), ("Gamma_opt", "Gamma_opt", 0)]
+    return axes, series, columns
 
 
-def _fig5a_rows(preset):
-    def points(j):
-        p = params.SweptJ(
-            delta2p=preset["delta2p"],
-            delta3=preset["delta3"],
-            kappa=params.square(j),
-            kappa3=preset["kappa3"],
-            J=j,
-            Omega_m=preset["Omega_m"],
-            gamma=preset["gamma"],
-            gamma_sc=preset["gamma_sc"],
-        )
+def _n_f_columns(x_name, labels):
+    """The x column, then n_f and its flag for each series, labelled in order."""
+    return [(x_name, x_name, None)] + [
+        (f"{k}_{label}", k, i) for i, label in enumerate(labels) for k in ("n_f", "flag")
+    ]
+
+
+def _fig5a(preset):
+    def series(point):
+        j = point["J"]
+        p = params.SweptJ(**_preset_fields(preset, kappa=params.square(j), J=j))
         return p, _single_cavity(p)
 
-    return _n_f_rows("J", np.linspace(0.05, 15.0, 300), ("coupled", "single"), points)
+    axes = [("J", np.linspace(0.05, 15.0, 300))]
+    return axes, series, _n_f_columns("J", ("coupled", "single"))
 
 
-def _fig5b_rows(preset):
-    def points(kappa):
-        p = _coupled_preset_params(kappa, preset)
+def _fig5b(preset):
+    def series(point):
+        p = _preset_coupled(_preset_fields(preset, kappa=point["kappa"]))
         return p, _single_cavity(p)
 
-    return _n_f_rows("kappa", np.geomspace(1.0, 1000.0, 200), ("coupled", "single"), points)
+    axes = [("kappa", np.geomspace(1.0, 1000.0, 200))]
+    return axes, series, _n_f_columns("kappa", ("coupled", "single"))
 
 
-def _fig6a_rows(preset):
+def _fig6a(preset):
     radii = preset["radii_nm"]
     recoils = [params.recoil_heating(r * 1e-9, 2.0, 1e-6) for r in radii]
-    return _n_f_rows(
-        "kappa",
-        np.geomspace(1.0, 1000.0, 200),
-        [f"r{r:g}nm" for r in radii],
-        lambda kappa: [_coupled_preset_params(kappa, preset, gamma_sc=g) for g in recoils],
-    )
+
+    def series(point):
+        return [_preset_coupled(_preset_fields(preset, kappa=point["kappa"], gamma_sc=g))
+                for g in recoils]
+
+    axes = [("kappa", np.geomspace(1.0, 1000.0, 200))]
+    return axes, series, _n_f_columns("kappa", [f"r{r:g}nm" for r in radii])
 
 
-def _fig6b_rows(preset):
+def _fig6b(preset):
     kappas = preset["kappas"]
-    return _n_f_rows(
-        "kappa3",
-        np.geomspace(0.05, 10.0, 200),
-        [f"kappa{k:g}" for k in kappas],
-        lambda kappa3: [_coupled_preset_params(k, preset, kappa3=kappa3) for k in kappas],
-    )
+
+    def series(point):
+        return [_preset_coupled(_preset_fields(preset, kappa=k, kappa3=point["kappa3"]))
+                for k in kappas]
+
+    axes = [("kappa3", np.geomspace(0.05, 10.0, 200))]
+    return axes, series, _n_f_columns("kappa3", [f"kappa{k:g}" for k in kappas])
 
 
-# Figure builder -> (rows function, x label, y label, log y axis).
+# Figure builder -> (builder function, x label, y label, log y axis).
 _FIGURES = {
-    "fig3": (_fig3_rows, "omega / omega_m", "S xzpf^2 / omega_m", False),
-    "fig4": (_fig4_rows, "delta2p / omega_m", "kappa / omega_m", True),
-    "fig5a": (_fig5a_rows, "J / omega_m", "n_f", True),
-    "fig5b": (_fig5b_rows, "kappa / omega_m", "n_f", True),
-    "fig6a": (_fig6a_rows, "kappa / omega_m", "n_f", True),
-    "fig6b": (_fig6b_rows, "kappa3 / omega_m", "n_f", True),
+    "fig3": (_fig3, "omega / omega_m", "S xzpf^2 / omega_m", False),
+    "fig4": (_fig4, "delta2p / omega_m", "kappa / omega_m", True),
+    "fig5a": (_fig5a, "J / omega_m", "n_f", True),
+    "fig5b": (_fig5b, "kappa / omega_m", "n_f", True),
+    "fig6a": (_fig6a, "kappa / omega_m", "n_f", True),
+    "fig6b": (_fig6b, "kappa3 / omega_m", "n_f", True),
 }
 
 
 def run_figure(preset_id, out_path):
+    """Write the CSV of figure preset `preset_id` and its gnuplot sidecar; returns the sidecar path.
+
+    A figure over two axes is a long-format map, plotted as a surface of its axes' sizes.
+    """
     if preset_id not in FIGURE_PRESETS:
         raise ValidationError(f"unknown figure preset {preset_id!r}")
     builder = preset_id[:4] if preset_id[:4] in ("fig3", "fig4") else preset_id
-    rows_fn, xlabel, ylabel, logy = _FIGURES[builder]
-    rows, schema = rows_fn(FIGURE_PRESETS[preset_id])
+    build, xlabel, ylabel, logy = _FIGURES[builder]
+    axes, series, columns = build(FIGURE_PRESETS[preset_id])
+    rows, schema = tabulate(axes, series, columns)
     emit_csv(rows, schema, out_path)
     gp_path = str(out_path).removesuffix(".csv") + ".gp"
     value_columns = [i + 1 for i, name in enumerate(schema) if not name.startswith("flag")][1:]
     _write_gnuplot(
         gp_path, out_path, preset_id, xlabel, ylabel, value_columns,
-        logy=logy, surface=(61, 121) if builder == "fig4" else None,
+        logy=logy, surface=[len(grid) for _, grid in axes] if len(axes) == 2 else None,
     )
     return gp_path
 
@@ -709,26 +707,16 @@ def _dispatch(args):
         axis = parse_axis(args.axis1)
         if axis.name != "omega":
             raise ValidationError("spectrum axis must be `omega`")
-        size = _grid_size("spectrum", [axis])
-        grid = axis.grid()
-        blocks = ((grid[b], response.s_ff(grid[b], base)) for b in _block_slices(size))
-        emit_csv(_Rows(blocks, size), ["omega", "S"], args.out)
-        return EXIT_OK
-
-    if args.subcommand in POINT_SUBCOMMANDS:
-        columns, quantities, with_flag = POINT_SUBCOMMANDS[args.subcommand]
+        _check_grid_size("spectrum", [axis])
+        # The config point itself, not a block: its omega grid keeps numpy's arithmetic.
+        columns = [("omega", "omega", None), ("S", "S_ff", 0)]
+        rows, schema = tabulate([("omega", axis.grid())], lambda point: (base,), columns)
+    elif args.subcommand in POINT_SUBCOMMANDS:
         series = "single" if base.J == 0.0 else "coupled"
-        names = [q.replace("*", series) for q in quantities]
-        values, flags = evaluate_quantities(base, names)
-        row = [getattr(base, c) for c in columns] + [values[n] for n in names]
-        schema = list(columns) + [q.replace("_*", "") for q in quantities]
-        if with_flag:
-            row.append(flags)
-            schema.append("flag")
-        emit_csv(_columns(*map(np.atleast_1d, row)), schema, args.out)
-        return EXIT_OK
-
-    if args.subcommand == "oracle":
+        sources = POINT_SUBCOMMANDS[args.subcommand]
+        columns = [(s.replace("_*", ""), s.replace("*", series), 0) for s in sources]
+        rows, schema = tabulate([], lambda point: (base,), columns)
+    elif args.subcommand == "oracle":
         r = lyapunov.oracle_compare(base)
         if r.residual > lyapunov.RESIDUAL_RTOL:
             print(
@@ -738,11 +726,9 @@ def _dispatch(args):
             )
             return EXIT_NUMERIC
         row = (r.kappa, r.Omega_m, r.n_formula, r.n_lyapunov, r.rel_dev, r.stable)
+        rows = _columns(*map(np.atleast_1d, row))
         schema = ["kappa", "Omega_m", "n_f_formula", "n_lyapunov", "rel_dev", "stable"]
-        emit_csv(_columns(*map(np.atleast_1d, row)), schema, args.out)
-        return EXIT_OK
-
-    if args.subcommand == "sweep":
+    elif args.subcommand == "sweep":
         axes = [parse_axis(text) for text in (args.axis1, args.axis2) if text]
         if len(axes) == 2 and axes[0].name == axes[1].name:
             raise ValidationError(f"axis {axes[0].name!r} is given twice")
@@ -769,10 +755,10 @@ def _dispatch(args):
                 else "an `omega` axis is read only by the quantity S_ff"
             )
         rows, schema = run_sweep(base, axes, quantities, args.dual, args.preset_coupling)
-        emit_csv(rows, schema, args.out)
-        return EXIT_OK
-
-    raise ValidationError(f"unknown subcommand {args.subcommand!r}")
+    else:
+        raise ValidationError(f"unknown subcommand {args.subcommand!r}")
+    emit_csv(rows, schema, args.out)
+    return EXIT_OK
 
 
 def main(argv=None):

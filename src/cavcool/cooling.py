@@ -19,9 +19,9 @@ class CoolingReport:
     """Rates and steady-state occupancy limits, all in units of omega_m.
 
     n_q = A_plus / Gamma_opt is the quantum backaction limit, n_c =
-    gamma_sc / Gamma_opt the recoil (classical) limit, n_f their sum.  When
-    Gamma_opt <= 0 the occupancies are NaN and `cooling` is False.  For a
-    block of points every field is an array.
+    gamma_sc / Gamma_opt the recoil (classical) limit, n_f their sum.  Unless
+    Gamma_opt > 0 (so also where it is NaN) the occupancies are NaN and
+    `cooling` is False.  For a block of points every field is an array.
     """
 
     A_minus: float
@@ -57,7 +57,7 @@ def cooling_limit(p):
     """
     a_minus, a_plus = rates(p)
     gamma_opt = a_minus - a_plus
-    cooling = ~(np.asarray(gamma_opt) <= 0.0)
+    cooling = np.asarray(gamma_opt) > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         n_q = np.where(cooling, np.divide(a_plus, gamma_opt), np.nan)
         n_c = np.where(cooling, np.divide(p.gamma_sc, gamma_opt), np.nan)

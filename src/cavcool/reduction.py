@@ -73,13 +73,6 @@ def effective_params(p):
     )
 
 
-def _general_criterion(delta, coupling, kappa):
-    """Signed left side of  delta [16 delta |O|^2 + (4 delta^2 + kappa^2) w] < 0."""
-    return delta * (
-        16.0 * delta * square(coupling) + (4.0 * square(delta) + square(kappa)) * OMEGA_M
-    )
-
-
 def stability_single(p):
     """Single-cavity stability (J treated as zero, mechanical damping neglected).
 
@@ -89,38 +82,33 @@ def stability_single(p):
     single-cavity optimum delta2p = -kappa/2 it reduces to
     Omega_m^2 < kappa omega_m / 4.
     """
-    lhs = _general_criterion(p.delta2p, p.Omega_m, p.kappa)
-    margin = -lhs / (square(p.kappa) * OMEGA_M)
+    delta, kappa = p.delta2p, p.kappa
+    lhs = delta * (
+        16.0 * delta * square(p.Omega_m) + (4.0 * square(delta) + square(kappa)) * OMEGA_M
+    )
+    margin = -lhs / (square(kappa) * OMEGA_M)
     return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin))
 
 
-def stability_coupled(p, form="closed", eff=None):
+def stability_coupled(p, eff=None):
     """Coupled-cavity stability from the effective two-mode system.
 
-    form="closed" evaluates the closed bound
+    The closed bound is
         Omega_m^2 < (4 omega_m^2 + kappa_eff^2) / (16 eta^2),
-    normalized margin (bound - Omega_m^2)/bound.  form="effective" applies
-    the general inequality to (Delta_eff, Omega_eff, kappa_eff) with the
-    effective mechanical frequency taken equal to omega_m.  eta = 0 is
+    with normalized margin (bound - Omega_m^2)/bound.  eta = 0 is
     degenerate: the criterion constrains nothing, so the verdict is stable
     with infinite margin.  `eff` is `effective_params(p)` when the caller
     has it already; it is computed otherwise.
     """
-    if form not in ("closed", "effective"):
-        raise ValueError(f"form must be 'closed' or 'effective', got {form!r}")
     if eff is None:
         eff = effective_params(p)
     with np.errstate(all="ignore"):
-        if form == "closed":
-            scale = 4.0 * square(OMEGA_M) + square(eff.kappa_eff)
-            bound = scale / (16.0 * square(eff.eta))
-            margin = (bound - square(p.Omega_m)) / bound
-            # For tiny eta (J -> 0+) 16 eta^2 underflows or the bound
-            # overflows, and inf/inf would be NaN: use the margin's other form.
-            margin = np.where(np.isinf(bound), 1.0 - 16.0 * square(eff.Omega_eff) / scale, margin)
-        else:
-            lhs = _general_criterion(eff.Delta_eff, eff.Omega_eff, eff.kappa_eff)
-            margin = -lhs / (square(eff.kappa_eff) * OMEGA_M)
+        scale = 4.0 * square(OMEGA_M) + square(eff.kappa_eff)
+        bound = scale / (16.0 * square(eff.eta))
+        margin = (bound - square(p.Omega_m)) / bound
+        # For tiny eta (J -> 0+) 16 eta^2 underflows or the bound
+        # overflows, and inf/inf would be NaN: use the margin's other form.
+        margin = np.where(np.isinf(bound), 1.0 - 16.0 * square(eff.Omega_eff) / scale, margin)
     margin = np.where(np.asarray(eff.eta) == 0.0, np.inf, margin)
     return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin))
 
@@ -133,7 +121,3 @@ def minimum_coupled_bound(kappa, kappa3):
     Always exceeds the single-cavity bound kappa omega_m / 4.
     """
     return unwrap(kappa / 4.0 * np.sqrt(OMEGA_M**2 + square(kappa3) / 4.0) + kappa * kappa3 / 8.0)
-
-
-def minimizing_eta(kappa, kappa3):
-    return unwrap(np.float_power(4.0 * OMEGA_M**2 + square(kappa3), 0.25) / np.sqrt(kappa))

@@ -81,12 +81,6 @@ def chi3(omega, p):
     return unwrap(reciprocal(-1j * (omega + p.delta3) + p.kappa3 / 2.0))
 
 
-def chi_m(omega, p):
-    """Mechanical response 1 / (-i(omega - omega_m) + gamma/2)."""
-    reciprocal, _ = _arithmetic(omega, p)
-    return unwrap(reciprocal(-1j * (omega - OMEGA_M) + p.gamma / 2.0))
-
-
 def chi_total(omega, p):
     """Total response of the two coupled cavities, 1/(1/chi2 + J^2 chi3).
 

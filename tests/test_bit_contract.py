@@ -27,6 +27,7 @@ import struct
 import numpy as np
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
+from conftest import effective_form_margin
 
 from cavcool import cooling, lyapunov, reduction, response
 from cavcool.params import NormalizedParams, SweptJ
@@ -206,10 +207,11 @@ def test_closed_forms_match_point_references(points, swept, omega):
         assert_same(name, getattr(eff, name), [r[name] for r in refs])
 
     margins = [ref_margins(pt) for pt in points]
+    effective = effective_form_margin(eff)
     verdicts = {
         "single_general": reduction.stability_single(block),
-        "coupled_closed": reduction.stability_coupled(block, form="closed"),
-        "coupled_effective": reduction.stability_coupled(block, form="effective"),
+        "coupled_closed": reduction.stability_coupled(block),
+        "coupled_effective": reduction.StabilityVerdict(effective > 0.0, effective),
     }
     for k, (label, verdict) in enumerate(verdicts.items()):
         assert_same(label, verdict.margin, [m[k] for m in margins])

@@ -211,6 +211,40 @@ def test_emit_csv_row_count_is_data_lines(config_path, tmp_path, monkeypatch, ar
     assert len(out.read_text().splitlines()) == count + 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--axis1", "omega:-1:1:5:lin"],
+    *([name] for name in ("rates", "limit", "stability", "effective")),
+    ["sweep", "--axis1", "kappa:10:100:3:log", "--quantity", "n_f,A_minus", "--dual"],
+    *(["figure", "--id", fig] for fig in sorted(cli.FIGURE_PRESETS)),
+], ids=lambda argv: argv[-1] if argv[0] == "figure" else argv[0])
+def test_every_product_goes_through_the_evaluator(config_path, tmp_path, monkeypatch, argv):
+    """Every CSV product but `oracle` takes its values from
+    `evaluate_quantities`: it is called, and the spectrum and rate functions
+    are reached only from inside it."""
+    evaluate, state = cli.evaluate_quantities, {"calls": 0, "inside": False}
+
+    def counting(*args, **kwargs):
+        state["calls"] += 1
+        state["inside"] = True
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            state["inside"] = False
+
+    def inside_only(fn):
+        def guarded(*args, **kwargs):
+            assert state["inside"], f"{fn.__name__} called outside the evaluator"
+            return fn(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(cli, "evaluate_quantities", counting)
+    monkeypatch.setattr(response, "s_ff", inside_only(response.s_ff))
+    monkeypatch.setattr(cooling, "net_rate", inside_only(cooling.net_rate))
+    config = [] if argv[0] == "figure" else ["--config", config_path]
+    assert cli.main(argv + config + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert state["calls"] > 0
+
+
 def test_sweep_memory_does_not_grow_with_grid(config_path, tmp_path):
     """A sweep holds one block of its table at a time: the traced peak of a
     40,000-point sweep is at most 1.5 times that of a 4,000-point one."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import RECOIL_50NM, fig5_coupled, fig5_single
 
-from cavcool import cooling, invariants, params, response
+from cavcool import cli, cooling, invariants, params, response
 from cavcool.errors import NoCoolingWindow
 from cavcool.params import NormalizedParams, SweptJ
 
@@ -152,6 +152,26 @@ class TestCoolingLimit:
         report = cooling.cooling_limit(p)
         assert not report.cooling
         assert np.isnan(report.n_f)
+
+    def test_nan_net_rate_is_not_cooling(self, monkeypatch, tmp_path):
+        # A NaN Gamma_opt does not cool: for one point and in a block, in the
+        # report and in the CLI flag.
+        monkeypatch.setattr(cooling, "rates", lambda p: (np.array([1.0, math.nan]), np.zeros(2)))
+        block = fig5_coupled(100.0).replace(kappa=np.array([100.0, 200.0]))
+        assert cooling.cooling_limit(block).cooling.tolist() == [True, False]
+        _, flags = cli.evaluate_quantities(block, ["n_f"])
+        assert flags.tolist() == ["ok", "not_cooling"]
+        monkeypatch.setattr(cooling, "rates", lambda p: (math.nan, math.nan))
+        report = cooling.cooling_limit(fig5_coupled(100.0))
+        assert report.cooling is False
+        assert math.isnan(report.n_f)
+        config = tmp_path / "point.cfg"
+        config.write_text(
+            "delta2p = 50\ndelta3 = 0.5\nkappa = 100\nkappa3 = 1\nJ = 10\nOmega_m = 0.25\n"
+        )
+        out = tmp_path / "limit.csv"
+        assert cli.main(["limit", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",nan,nan,nan,nan,nan,nan,not_cooling")
 
     def test_heating_suppression_vs_single_cavity(self):
         coupled = cooling.cooling_limit(fig5_coupled(100.0))

@@ -1,13 +1,15 @@
 """Source hygiene: no module of the package or of the tests imports a name
-at top level that it never uses.
+at top level that it never uses, and every top-level function and class of
+the package is named somewhere outside its own definition.
 
-The check reads the sources with the standard library's `ast` module, so it
-needs no linter.  A name counts as used when it appears anywhere in the
+The checks read the sources with the standard library's `ast` module, so
+they need no linter.  A name counts as used when it appears anywhere in the
 module as a bare name, which covers attribute access (`np.zeros`), calls,
 decorators and annotations.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -18,6 +20,10 @@ MODULES = sorted(
     for path in [*(ROOT / "src" / "cavcool").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
+PACKAGE = sorted(p for p in (ROOT / "src" / "cavcool").glob("*.py") if p.name != "__init__.py")
+# The package and the benchmark harness: a definition only the tests or the
+# package's exports name is code no command or benchmark reaches.
+REFERRERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -41,3 +47,55 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def mentions(node):
+    """How often `node` names each name: as a bare name, an attribute, an
+    imported name or a string constant (`bench/tracer.py` names the
+    functions it wraps as strings)."""
+    found = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found[n.value] += 1
+    return found
+
+
+def unreferenced_definitions(defining, referring):
+    """`module.name` of each top-level function and class of the `defining`
+    sources (module -> source) that no `referring` source names outside
+    that definition."""
+    named = collections.Counter()
+    for source in referring.values():
+        named += mentions(ast.parse(source))
+    return [
+        f"{module}.{node.name}"
+        for module, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and named[node.name] <= mentions(node)[node.name]
+    ]
+
+
+def test_checker_finds_unreferenced_definitions():
+    module = (
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Wrapped:\n    pass\n\n"
+        "x = used()\n"
+    )
+    harness = "WRAPPED = ('m', 'Wrapped')\n"
+    sources = {"m": module, "bench": harness}
+    assert unreferenced_definitions({"m": module}, sources) == ["m.recursive"]
+    assert unreferenced_definitions({"m": module}, {"m": module}) == ["m.recursive", "m.Wrapped"]
+
+
+def test_every_definition_is_referenced():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    referring = {str(path): path.read_text(encoding="utf-8") for path in REFERRERS}
+    assert unreferenced_definitions(package, referring) == []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fig5_coupled
+from conftest import effective_form_margin, fig5_coupled
 
 from cavcool import cooling, reduction
 from cavcool.params import NormalizedParams
@@ -106,13 +106,13 @@ class TestStabilityCoupled:
     def test_vanishing_eta_is_stable_not_nan(self):
         # 16 eta^2 underflows to 0 for J = 1e-300: the bound is out of float range.
         p = NormalizedParams(delta2p=0.0, delta3=0.0, kappa=1.0, kappa3=1.0, J=1e-300, Omega_m=0.1)
-        verdict = reduction.stability_coupled(p, form="closed")
+        verdict = reduction.stability_coupled(p)
         assert verdict.stable is True
         assert verdict.margin == 1.0
 
     def test_minimum_bound_matches_direct_minimization(self):
         kappa, kappa3 = 137.0, 0.7
-        eta_min = reduction.minimizing_eta(kappa, kappa3)
+        eta_min = (4.0 + kappa3**2) ** 0.25 / math.sqrt(kappa)
         bound_at = lambda eta: (4 + (kappa3 + eta**2 * kappa) ** 2) / (16 * eta**2)
         s_min = reduction.minimum_coupled_bound(kappa, kappa3)
         assert bound_at(eta_min) == pytest.approx(s_min, rel=1e-12)
@@ -120,10 +120,10 @@ class TestStabilityCoupled:
             assert bound_at(eta) >= s_min - 1e-12
         # A block gives every point the bits of that point on its own.
         kappa, kappa3 = 10 ** np.random.default_rng(43).uniform(-6, 6, (2, 500))
-        for fn in (reduction.minimum_coupled_bound, reduction.minimizing_eta):
-            points = [fn(float(k), float(k3)) for k, k3 in zip(kappa, kappa3)]
-            assert all(type(x) is float for x in points)
-            assert fn(kappa, kappa3).tobytes() == np.array(points).tobytes()
+        bound = reduction.minimum_coupled_bound
+        points = [bound(float(k), float(k3)) for k, k3 in zip(kappa, kappa3)]
+        assert all(type(x) is float for x in points)
+        assert bound(kappa, kappa3).tobytes() == np.array(points).tobytes()
 
     def test_effective_form_reduces_to_closed_bound_at_design_detuning(self):
         # delta2p chosen so Delta_eff = -1; the 5.11 inequality then collapses
@@ -135,9 +135,8 @@ class TestStabilityCoupled:
         p = fig5_coupled(kappa).replace(J=j, delta2p=delta2p)
         eff = reduction.effective_params(p)
         assert eff.Delta_eff == pytest.approx(-1.0, rel=1e-12)
-        closed = reduction.stability_coupled(p, form="closed")
-        effective = reduction.stability_coupled(p, form="effective")
-        assert closed.stable == effective.stable
+        closed = reduction.stability_coupled(p)
+        assert closed.stable == (effective_form_margin(eff) > 0.0)
 
 
 class TestReductionFidelity:

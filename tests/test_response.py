@@ -52,7 +52,7 @@ class TestChi2:
         assert invariants.interference(p, rng.uniform(-5, 5, 100)) <= 1e-12
 
 
-class TestChi3AndMechanical:
+class TestChi3:
     def test_auxiliary_resonance(self):
         p = make_params()
         assert response.chi3(-p.delta3, p) == pytest.approx(2.0 / p.kappa3)
@@ -61,10 +61,6 @@ class TestChi3AndMechanical:
         # 1 / (0.5 - 1.5i).
         p = make_params(delta3=0.5, kappa3=1.0)
         assert response.chi3(1.0, p) == pytest.approx((0.5 + 1.5j) / 2.5, rel=1e-14)
-
-    def test_mechanical_resonance(self):
-        p = make_params(gamma=1e-4)
-        assert response.chi_m(1.0, p) == pytest.approx(2.0 / p.gamma)
 
 
 class TestChiTotal:
