@@ -12,7 +12,7 @@ from .params import (
     load_config,
     parse_config,
 )
-from .response import chi2, chi3, chi_total, s_ff, self_energy
+from .response import chi_total, s_ff, self_energy
 from .cooling import CoolingReport, cooling_limit, net_rate, optimal_detuning, rates, spring_shift
 from .reduction import (
     EffectiveParams,

@@ -8,8 +8,10 @@ the parameters of each series, columns), evaluated by `evaluate_quantities`
 one block at a time as `emit_csv` writes it.  Exit codes: 0 success, 2
 validation/usage error, 3 numeric failure.  Non-cooling, unstable or
 ill-conditioned parameter points are data (flag columns / NaN values), not
-failures.  Exit 3 comes from `oracle`, when its Lyapunov solve misses the
-residual target, and from `selftest`, when an invariant check fails.
+failures: `evaluate_quantities` returns a boolean mask per condition, and
+`tabulate` renders each series' flag column from the masks.  Exit 3 comes
+from `oracle`, when its Lyapunov solve misses the residual target, and from
+`selftest`, when an invariant check fails.
 """
 
 import argparse
@@ -132,7 +134,7 @@ def _write_gnuplot(path, csv_path, title, xlabel, ylabel, columns, logy=False, s
 
 
 # ---------------------------------------------------------------------------
-# Point evaluation: the one path from parameters to output values and a flag
+# Point evaluation: the one path from parameters to output values and conditions
 # ---------------------------------------------------------------------------
 
 COOLING_QUANTITIES = ("A_minus", "A_plus", "Gamma_opt", "n_q", "n_c", "n_f")
@@ -151,81 +153,64 @@ QUANTITIES = (
 )
 
 
-def _exact(p, solve):
-    """(stable, max_real_eig, n_lyapunov, flags) from one stacked model and eigen-decomposition.
-
-    Without `solve` only the eigenvalues are computed and n_lyapunov is None.
-    An unstable point yields NaN and the flag `unstable`, an ill-conditioned
-    solve NaN and the flag `ill_conditioned`.
-    """
-    model = lyapunov.build_model(p)
-    if not solve:
-        return (*lyapunov.eigen_stable(model), None, _flags(p.shape))
-    result = lyapunov.solve_steady(model)
-    flags = _flags(p.shape)
-    flags[result.residual > lyapunov.RESIDUAL_RTOL] = "ill_conditioned"
-    flags[np.logical_not(result.stable)] = "unstable"
-    return result.stable, result.max_real_eigenvalue, result.n_phonon, flags
-
-
-def _flags(shape):
-    """An all-`ok` flag array; object dtype, so rows share the flag strings."""
-    return np.full(shape, "ok", dtype=object)
-
-
 def evaluate_quantities(p, names, omega=None):
     """Evaluate the requested quantities at one parameter point or a block of them.
 
     A block `p` has array fields of one shape (see `_block`), and `omega`,
-    which `S_ff` requires, has that shape too; it gives (values dict of
-    arrays, flags array).  A single point with float fields gives Python
-    scalars and a 0-d flags array.  Non-cooling, unstable and
-    ill-conditioned points yield NaN for the affected quantities and a
-    descriptive flag: `not_cooling` from the first cooling quantity,
-    `unstable` or `ill_conditioned` from `n_lyapunov`.  When both apply,
-    the later in `names` of those two quantities wins.
+    which `S_ff` requires, has that shape too; it gives a dict of arrays.  A
+    single point with float fields gives Python scalars.  Returns (values,
+    conditions): `conditions` maps each condition found, in the order found,
+    to a boolean mask of the points where it holds.  Non-cooling, unstable
+    and ill-conditioned points yield NaN for the affected quantities and a
+    condition: `not_cooling` at the first cooling quantity, and at
+    `n_lyapunov` `ill_conditioned` (residual above RESIDUAL_RTOL), then
+    `unstable`.  `tabulate` renders the flag from them.  Each intermediate
+    (cooling report, effective parameters, verdict, eigenvalues or solve)
+    is computed once per call.
     """
-    out = {}
-    flags = _flags(p.shape)
-    report = eff = exact = None
-    verdicts = {}
+    values, conditions, memo = {}, {}, {}
+
+    def once(key, compute):
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def effective():
-        # One effective_params per call: the coupled verdict reuses it.
-        nonlocal eff
-        if eff is None:
-            eff = reduction.effective_params(p)
-        return eff
+        # The coupled verdict reuses the effective parameters.
+        return once("effective", lambda: reduction.effective_params(p))
 
     for name in names:
         if name == "S_ff":
-            out[name] = response.s_ff(omega, p)
+            values[name] = response.s_ff(omega, p)
         elif name in COOLING_QUANTITIES:
-            if report is None:
-                report = cooling.cooling_limit(p)
-                flags[np.logical_not(report.cooling)] = "not_cooling"
-            out[name] = getattr(report, name)
+            report = once("cooling", lambda: cooling.cooling_limit(p))
+            if "not_cooling" not in conditions:
+                conditions["not_cooling"] = np.logical_not(report.cooling)
+            values[name] = getattr(report, name)
         elif name == "delta_omega_m":
-            out[name] = cooling.spring_shift(p)
+            values[name] = cooling.spring_shift(p)
         elif name in EFFECTIVE_QUANTITIES:
-            out[name] = getattr(effective(), name)
+            values[name] = getattr(effective(), name)
         elif name in STABILITY_QUANTITIES:
             kind, series = name.split("_")
-            if series not in verdicts:
-                verdicts[series] = (
-                    reduction.stability_single(p) if series == "single"
-                    else reduction.stability_coupled(p, eff=effective())
-                )
-            out[name] = getattr(verdicts[series], kind)
+            verdict = once(series, lambda: (
+                reduction.stability_single(p) if series == "single"
+                else reduction.stability_coupled(p, eff=effective())
+            ))
+            values[name] = getattr(verdict, kind)
         elif name in EXACT_QUANTITIES:
-            if exact is None:
-                *exact, exact_flags = _exact(p, "n_lyapunov" in names)
-            out[name] = exact[EXACT_QUANTITIES.index(name)]
+            if "n_lyapunov" in names:
+                result = once("solve", lambda: lyapunov.solve_steady(lyapunov.build_model(p)))
+                exact = (result.stable, result.max_real_eigenvalue, result.n_phonon)
+            else:
+                exact = once("eigen", lambda: lyapunov.eigen_stable(lyapunov.build_model(p)))
+            values[name] = exact[EXACT_QUANTITIES.index(name)]
             if name == "n_lyapunov":
-                flags = np.where(exact_flags == "ok", flags, exact_flags)
+                conditions["ill_conditioned"] = np.asarray(result.residual) > lyapunov.RESIDUAL_RTOL
+                conditions["unstable"] = np.logical_not(result.stable)
         else:
             raise ValidationError(f"unknown quantity {name!r}")
-    return out, flags
+    return values, conditions
 
 
 def _block(p, shape):
@@ -267,8 +252,11 @@ def tabulate(axes, series, columns):
     axis columns `point` holds by name.  `columns` are (header, source,
     series index) triples.  A source is a quantity or `flag` of that series,
     an axis name, or a parameter field of that series; an `omega` axis is
-    the frequency of `S_ff`.  A `flag` of series None is the first series'
-    flag where that is not `ok`, and the last series' flag elsewhere.
+    the frequency of `S_ff`.  A series' `flag` is built here, the one place
+    flag text is made: `ok`, overwritten by each of its conditions in order
+    where that condition's mask holds, so a later condition wins.  A `flag`
+    of series None is the first series' flag where that is not `ok`, and
+    the last series' flag elsewhere.
 
     Every block's parameters are built once here first, so a point outside
     its field's domain raises before the CSV is opened.  The rows are then
@@ -295,8 +283,12 @@ def tabulate(axes, series, columns):
             sources = []  # per series: its fields, quantities and flag by name
             for i, p in enumerate(ps):
                 wanted = [s for _, s, j in columns if j == i and s in QUANTITIES]
-                values, flags = evaluate_quantities(p, wanted, point.get("omega"))
-                sources.append({**vars(p), **values, "flag": flags})
+                values, conditions = evaluate_quantities(p, wanted, point.get("omega"))
+                # Object dtype, so rows share the flag strings; a later condition wins.
+                flag = np.full(p.shape, "ok", dtype=object)
+                for condition, mask in conditions.items():
+                    flag[mask] = condition
+                sources.append({**vars(p), **values, "flag": flag})
             first, last = sources[0]["flag"], sources[-1]["flag"]
             shared = point | {"flag": np.where(first != "ok", first, last)}
             yield [

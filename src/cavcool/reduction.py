@@ -37,7 +37,6 @@ class EffectiveParams:
     kappa_eff: float
     Delta_eff: float
     regime_ok: bool
-    checks: dict
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ def effective_params(p):
         Delta_eff=unwrap(p.delta3 - square(eta) * p.delta2p),
         # `&` broadcasts a check on scalar fields against the array checks.
         regime_ok=unwrap(functools.reduce(operator.and_, checks.values())),
-        checks={name: unwrap(np.asarray(ok)) for name, ok in checks.items()},
     )
 
 

@@ -69,21 +69,11 @@ def _arithmetic(omega, p):
     return _reciprocal, square
 
 
-def chi2(omega, p):
-    """Cooling-cavity response 1 / (-i(omega + delta2p) + kappa/2)."""
-    reciprocal, _ = _arithmetic(omega, p)
-    return unwrap(reciprocal(-1j * (omega + p.delta2p) + p.kappa / 2.0))
-
-
-def chi3(omega, p):
-    """Auxiliary-cavity response 1 / (-i(omega + delta3) + kappa3/2)."""
-    reciprocal, _ = _arithmetic(omega, p)
-    return unwrap(reciprocal(-1j * (omega + p.delta3) + p.kappa3 / 2.0))
-
-
 def chi_total(omega, p):
     """Total response of the two coupled cavities, 1/(1/chi2 + J^2 chi3).
 
+    chi2 = 1/(-i(omega + delta2p) + kappa/2) is the cooling cavity's response
+    and chi3 = 1/(-i(omega + delta3) + kappa3/2) the auxiliary cavity's.
     Equals chi2 exactly where J = 0.  Satisfies the exact identity
     2 Re chi = |chi|^2 (kappa + J^2 kappa3 |chi3|^2), which encodes the
     interference between the direct and aux-mediated decay pathways.  The

@@ -606,6 +606,28 @@ class TestSweep:
         flags = {row[-1] for row in rows}
         assert "not_cooling" in flags  # red-detuned coupled preset heats
 
+    @pytest.mark.parametrize("quantity, order", [
+        ("n_f,n_lyapunov", ["not_cooling", "ill_conditioned", "unstable"]),
+        ("n_lyapunov,n_f", ["ill_conditioned", "unstable", "not_cooling"]),
+    ])
+    def test_conditions_come_in_the_order_found(self, config_path, tmp_path, quantity, order):
+        # On the golden flag grid some rows are both not cooling and unstable.
+        # The evaluator lists the conditions in the order it finds them, and
+        # those rows' flag is the later condition.
+        grid = ["--axis1", "delta2p:-80:80:5:lin", "--axis2", "Omega_m:0.1:2:3:lin"]
+        delta2p, omega_m = (g.ravel() for g in np.meshgrid(
+            *(cli.parse_axis(spec).grid() for spec in grid[1::2]), indexing="ij"))
+        block = params.load_config(config_path).replace(delta2p=delta2p, Omega_m=omega_m)
+        _, conditions = cli.evaluate_quantities(block, quantity.split(","))
+        assert list(conditions) == order
+        both = conditions["not_cooling"] & conditions["unstable"]
+        assert both.any()
+        out = tmp_path / "flags.csv"
+        argv = ["sweep", "--config", config_path, "--out", str(out), "--quantity", quantity]
+        assert cli.main(argv + grid) == 0
+        flags = np.array([row[-1] for row in read_csv(out)[1]])
+        assert set(flags[both]) == {order[-1]}
+
     def test_sweep_size_cap(self, config_path, tmp_path, monkeypatch, capsys):
         out = tmp_path / "capped.csv"
         argv = [

@@ -155,12 +155,12 @@ class TestCoolingLimit:
 
     def test_nan_net_rate_is_not_cooling(self, monkeypatch, tmp_path):
         # A NaN Gamma_opt does not cool: for one point and in a block, in the
-        # report and in the CLI flag.
+        # report, in the evaluator's condition and in the CLI flag.
         monkeypatch.setattr(cooling, "rates", lambda p: (np.array([1.0, math.nan]), np.zeros(2)))
         block = fig5_coupled(100.0).replace(kappa=np.array([100.0, 200.0]))
         assert cooling.cooling_limit(block).cooling.tolist() == [True, False]
-        _, flags = cli.evaluate_quantities(block, ["n_f"])
-        assert flags.tolist() == ["ok", "not_cooling"]
+        _, conditions = cli.evaluate_quantities(block, ["n_f"])
+        assert conditions["not_cooling"].tolist() == [False, True]
         monkeypatch.setattr(cooling, "rates", lambda p: (math.nan, math.nan))
         report = cooling.cooling_limit(fig5_coupled(100.0))
         assert report.cooling is False

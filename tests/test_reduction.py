@@ -54,7 +54,6 @@ class TestEffectiveParams:
         assert good.regime_ok
         bad = reduction.effective_params(fig5_coupled(100.0).replace(delta2p=1.0))
         assert not bad.regime_ok
-        assert not bad.checks["detuning_separation"]
 
 
 class TestStabilitySingle:

@@ -30,20 +30,31 @@ def random_params(rng, n=None):
     )
 
 
+def chi2(omega, p):
+    """The cooling cavity's response 1 / (-i(omega + delta2p) + kappa/2)."""
+    return 1.0 / (-1j * (omega + p.delta2p) + p.kappa / 2.0)
+
+
+def chi3(omega, p):
+    """The auxiliary cavity's response 1 / (-i(omega + delta3) + kappa3/2)."""
+    return 1.0 / (-1j * (omega + p.delta3) + p.kappa3 / 2.0)
+
+
 class TestChi2:
+    # The cooling cavity alone is chi_total with the auxiliary cavity decoupled.
     def test_resonance_is_real(self):
-        p = make_params(delta2p=3.0)
-        assert response.chi2(-3.0, p) == pytest.approx(2.0 / p.kappa)
+        p = make_params(delta2p=3.0, J=0.0)
+        assert response.chi_total(-3.0, p) == pytest.approx(2.0 / p.kappa)
 
     def test_frozen_complex_value(self):
         # 1 / (50 - i) evaluated by independent complex arithmetic.
-        p = make_params(delta2p=0.0, kappa=100.0)
+        p = make_params(delta2p=0.0, kappa=100.0, J=0.0)
         oracle = (50 + 1j) / 2501.0
-        assert response.chi2(1.0, p) == pytest.approx(oracle, rel=1e-14)
+        assert response.chi_total(1.0, p) == pytest.approx(oracle, rel=1e-14)
 
     def test_vanishes_at_large_kappa(self):
-        p = make_params(kappa=1e12)
-        assert abs(response.chi2(1.0, p)) < 1e-11
+        p = make_params(kappa=1e12, J=0.0)
+        assert abs(response.chi_total(1.0, p)) < 1e-11
 
     def test_real_part_identity(self):
         # Re chi2 = kappa/2 |chi2|^2: the interference identity at J = 0.
@@ -53,21 +64,25 @@ class TestChi2:
 
 
 class TestChi3:
+    # The auxiliary cavity enters chi_total as J^2 chi3 = 1/chi_total - 1/chi2.
     def test_auxiliary_resonance(self):
         p = make_params()
-        assert response.chi3(-p.delta3, p) == pytest.approx(2.0 / p.kappa3)
+        w = -p.delta3
+        aux = (1.0 / response.chi_total(w, p) - 1.0 / chi2(w, p)) / p.J**2
+        assert aux == pytest.approx(2.0 / p.kappa3, rel=1e-14)
 
     def test_frozen_value(self):
         # 1 / (0.5 - 1.5i).
         p = make_params(delta3=0.5, kappa3=1.0)
-        assert response.chi3(1.0, p) == pytest.approx((0.5 + 1.5j) / 2.5, rel=1e-14)
+        aux = (1.0 / response.chi_total(1.0, p) - 1.0 / chi2(1.0, p)) / p.J**2
+        assert aux == pytest.approx((0.5 + 1.5j) / 2.5, rel=1e-14)
 
 
 class TestChiTotal:
     def test_decoupled_limit_is_exact(self):
         p = make_params(J=0.0)
         w = np.linspace(-5, 5, 101)
-        assert np.array_equal(response.chi_total(w, p), response.chi2(w, p))
+        assert np.array_equal(response.chi_total(w, p), chi2(w, p))
 
     def test_interference_blocking_at_auxiliary_resonance(self):
         p = make_params(kappa3=1e-6)
@@ -92,8 +107,8 @@ class TestChiTotal:
         for _ in range(200):
             p = random_params(rng)
             w = rng.uniform(-2e3, 2e3)
-            assert response.chi2(w, p).real > 0
-            assert response.chi3(w, p).real > 0
+            assert chi2(w, p).real > 0
+            assert chi3(w, p).real > 0
             assert response.chi_total(w, p).real > 0
 
 
