@@ -2,16 +2,16 @@
 
 Every subcommand writes an RFC-4180-style CSV (header row, LF endings,
 17-significant-digit floats) so that two runs with the same inputs produce
-byte-identical files.  `figure` additionally writes a gnuplot script sidecar
-referencing the CSV.  Every CSV but `oracle`'s is a `tabulate` table (axes,
-the parameters of each series, columns), evaluated by `evaluate_quantities`
-one block at a time as `emit_csv` writes it.  Exit codes: 0 success, 2
-validation/usage error, 3 numeric failure.  Non-cooling, unstable or
-ill-conditioned parameter points are data (flag columns / NaN values), not
-failures: `evaluate_quantities` returns a boolean mask per condition, and
-`tabulate` renders each series' flag column from the masks.  Exit 3 comes
-from `oracle`, when its Lyapunov solve misses the residual target, and from
-`selftest`, when an invariant check fails.
+byte-identical files.  `figure` also writes a gnuplot sidecar naming the CSV,
+and each figure is one `FIGURE_PRESETS` entry.  Every CSV but `oracle`'s is
+a `tabulate` table (axes, the parameters of each series, columns), evaluated
+by `evaluate_quantities` one block at a time as `emit_csv` writes it.  Exit
+codes: 0 success, 2 validation/usage error, 3 numeric failure.  Non-cooling,
+unstable or ill-conditioned parameter points are data (flag columns / NaN
+values), not failures: `evaluate_quantities` returns a boolean mask per
+condition, and `tabulate` renders each series' flag column from the masks.
+Exit 3 comes from `oracle`, when its Lyapunov solve misses the residual
+target, and from `selftest`, when an invariant check fails.
 """
 
 import argparse
@@ -50,11 +50,11 @@ MAX_SWEEP_POINTS = 1_000_000
 
 
 def _column_field(cells):
-    """The `%` field of one column slice (a 1-d array) and the values that fill it.
+    """The `%` field of one column (a 1-d array) of a block and the values that fill it.
 
     The dtype alone decides: float64 takes `%.17g`, bool `%d` (so `1`/`0`),
     and strings (object or unicode arrays) `%s`, written as they are.  A
-    float64 slice of which at most half the cells are distinct (by bits, so
+    float64 column of which at most half the cells are distinct (by bits, so
     0.0 and -0.0 and NaN payloads stay apart) formats each distinct value
     with `%.17g` once, and the cells take its text through `%s`.  Any other
     dtype is a validation error naming it.
@@ -80,7 +80,9 @@ def emit_csv(rows, schema, path):
     bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
     `1`/`0`.  The blocks are read once, in order, after the header is
     written; a lazily evaluated table (a sweep or spectrum) is evaluated
-    here, one block at a time.  Each block is written by `_write_block`.
+    here, one block at a time.  Each block is formatted as it comes: every
+    column gets its field and values from `_column_field`, and each row is
+    written with one `%`-format string.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
@@ -92,23 +94,12 @@ def emit_csv(rows, schema, path):
                     raise ValidationError(
                         f"{len(columns)} columns do not match schema width {len(schema)}"
                     )
-                _write_block(handle, columns)
+                fields = [_column_field(column) for column in columns]
+                row_format = ",".join(field for field, _ in fields) + "\n"
+                handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
+                del fields  # this block's text is freed before the next block is evaluated
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def _write_block(handle, columns):
-    """Write one block's rows in slices of at most BLOCK_POINTS rows.
-
-    This bounds the text held in memory, and it is freed on return, before
-    a lazily evaluated table makes its next block: every column slice gets
-    its field and values from `_column_field`, and each row of the slice is
-    written with one `%`-format string.
-    """
-    for start in range(0, len(columns[0]), BLOCK_POINTS):
-        fields = [_column_field(c[start : start + BLOCK_POINTS]) for c in columns]
-        row_format = ",".join(field for field, _ in fields) + "\n"
-        handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
 
 
 def _write_gnuplot(path, csv_path, title, xlabel, ylabel, columns, logy=False, surface=None):
@@ -318,6 +309,8 @@ POINT_SUBCOMMANDS = {
 
 @dataclass(frozen=True)
 class Axis:
+    """A sweep or figure axis: `count` points from `lo` to `hi`, spaced `lin` or `log`."""
+
     name: str
     lo: float
     hi: float
@@ -325,25 +318,24 @@ class Axis:
     scale: str
 
     def grid(self):
-        if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
+        return (np.geomspace if self.scale == "log" else np.linspace)(self.lo, self.hi, self.count)
 
 
 def parse_axis(text):
     parts = text.split(":")
     if len(parts) != 5:
-        raise ValidationError(
-            f"axis spec must be name:lo:hi:count:lin|log, got {text!r}"
-        )
+        raise ValidationError(f"axis spec must be name:lo:hi:count:lin|log, got {text!r}")
     name, lo, hi, count, scale = parts
     if name not in SWEEPABLE:
         raise ValidationError(f"unknown axis parameter {name!r}")
     try:
         lo, hi = float(lo), float(hi)
-        count = int(count)
     except ValueError:
         raise ValidationError(f"non-numeric axis bounds in {text!r}")
+    try:
+        count = int(count)
+    except ValueError:
+        raise ValidationError(f"axis count must be an integer, got {count!r} in {text!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError(f"axis bounds must be finite in {text!r}")
     if count < 2:
@@ -418,29 +410,8 @@ def run_sweep(base, axes, quantities, dual, preset_coupling):
 
 
 # ---------------------------------------------------------------------------
-# Figure presets: named parameter sets for the standard lineshape, net-rate,
-# and cooling-limit data products
+# Figure presets: each entry of FIGURE_PRESETS is a whole figure (see `run_figure`)
 # ---------------------------------------------------------------------------
-
-FIG3_COMMON = dict(delta3=0.5, kappa=100.0, kappa3=1.0, J=10.0, Omega_m=5.0, gamma=1e-5)
-FIG456_COMMON = dict(delta3=0.5, kappa3=1.0, Omega_m=0.25, gamma=1e-5)
-
-FIGURE_PRESETS = {
-    "fig3a": dict(FIG3_COMMON, delta2p=100.0, window=(-300.0, 300.0, 4001)),
-    "fig3b": dict(FIG3_COMMON, delta2p=100.0, window=(-30.0, 30.0, 6001)),
-    "fig3c": dict(FIG3_COMMON, delta2p=0.0, window=(-300.0, 300.0, 4001)),
-    "fig3d": dict(FIG3_COMMON, delta2p=0.0, window=(-30.0, 30.0, 6001)),
-    "fig3e": dict(FIG3_COMMON, delta2p=-100.0, window=(-300.0, 300.0, 4001)),
-    "fig3f": dict(FIG3_COMMON, delta2p=-100.0, window=(-30.0, 30.0, 6001)),
-    "fig4a": dict(FIG456_COMMON, single=True),
-    "fig4b": dict(FIG456_COMMON, single=False),
-    "fig5a": dict(FIG456_COMMON, delta2p=1.0, gamma_sc=RECOIL_50NM),
-    "fig5b": dict(FIG456_COMMON, gamma_sc=RECOIL_50NM),
-    "fig6a": dict(FIG456_COMMON, radii_nm=(40.0, 50.0, 60.0)),
-    "fig6b": dict(FIG456_COMMON, gamma_sc=RECOIL_50NM, kappas=(10.0, 50.0, 100.0)),
-}
-
-# Each figure builder below gives the (axes, series, columns) of `tabulate`.
 
 
 def _preset_fields(preset, **changes):
@@ -448,103 +419,102 @@ def _preset_fields(preset, **changes):
     return {k: preset[k] for k in params.RATE_KEYS if k in preset} | changes
 
 
-def _fig3(preset):
+def _spectra(preset):
+    """fig3: S_ff of the preset point and of its J = 0 companion over the omega axis."""
     # The preset point itself, not a block: its omega grid keeps numpy's arithmetic.
     p = params.NormalizedParams(**_preset_fields(preset))
     pair = (p, p.replace(J=0.0))
     columns = [("omega", "omega", None), ("S_coupled", "S_ff", 0), ("S_single", "S_ff", 1)]
-    return [("omega", np.linspace(*preset["window"]))], lambda point: pair, columns
+    return lambda point: pair, columns, ("omega / omega_m", "S xzpf^2 / omega_m", False)
 
 
-def _fig4(preset):
+def _rate_map(preset):
+    """fig4: Gamma_opt over kappa and delta2p / kappa, at J = 0 (`single`) or J = sqrt(kappa)."""
     def series(point):
         kappa = point["kappa"]
         j = 0.0 if preset["single"] else params.j_sideband_preset(kappa)
         fields = _preset_fields(preset, kappa=kappa, delta2p=point["ratio"] * kappa, J=j)
         return (params.NormalizedParams(**fields),)
 
-    axes = [("kappa", np.geomspace(1.0, 1000.0, 61)), ("ratio", np.linspace(-3.0, 3.0, 121))]
     columns = [("kappa", "kappa", None), ("delta2p", "delta2p", 0), ("Gamma_opt", "Gamma_opt", 0)]
-    return axes, series, columns
+    return series, columns, ("delta2p / omega_m", "kappa / omega_m", True)
 
 
-def _n_f_columns(x_name, labels):
-    """The x column, then n_f and its flag for each series, labelled in order."""
-    return [(x_name, x_name, None)] + [
-        (f"{k}_{label}", k, i) for i, label in enumerate(labels) for k in ("n_f", "flag")
-    ]
+def _curves(preset):
+    """figs 5-6: n_f and its flag along the one axis, per (label, field changes) of `curves`.
 
-
-def _fig5a(preset):
-    def series(point):
-        j = point["J"]
-        p = params.SweptJ(**_preset_fields(preset, kappa=params.square(j), J=j))
-        return p, _single_cavity(p)
-
-    axes = [("J", np.linspace(0.05, 15.0, 300))]
-    return axes, series, _n_f_columns("J", ("coupled", "single"))
-
-
-def _fig5b(preset):
-    def series(point):
-        p = _preset_coupled(_preset_fields(preset, kappa=point["kappa"]))
-        return p, _single_cavity(p)
-
-    axes = [("kappa", np.geomspace(1.0, 1000.0, 200))]
-    return axes, series, _n_f_columns("kappa", ("coupled", "single"))
-
-
-def _fig6a(preset):
-    radii = preset["radii_nm"]
-    recoils = [params.recoil_heating(r * 1e-9, 2.0, 1e-6) for r in radii]
+    `couple` turns a curve's fields, with a block of axis values, into its parameters.
+    With `dual` the first curve's `_single_cavity` companion follows as the curve `single`.
+    """
+    (axis,) = preset["axes"]
 
     def series(point):
-        return [_preset_coupled(_preset_fields(preset, kappa=point["kappa"], gamma_sc=g))
-                for g in recoils]
+        ps = [preset["couple"](_preset_fields(preset, **changes, **{axis.name: point[axis.name]}))
+              for _, changes in preset["curves"]]
+        return ps + [_single_cavity(ps[0])] if preset["dual"] else ps
 
-    axes = [("kappa", np.geomspace(1.0, 1000.0, 200))]
-    return axes, series, _n_f_columns("kappa", [f"r{r:g}nm" for r in radii])
-
-
-def _fig6b(preset):
-    kappas = preset["kappas"]
-
-    def series(point):
-        return [_preset_coupled(_preset_fields(preset, kappa=k, kappa3=point["kappa3"]))
-                for k in kappas]
-
-    axes = [("kappa3", np.geomspace(0.05, 10.0, 200))]
-    return axes, series, _n_f_columns("kappa3", [f"kappa{k:g}" for k in kappas])
+    labels = [label for label, _ in preset["curves"]] + (["single"] if preset["dual"] else [])
+    columns = [(axis.name, axis.name, None)]
+    columns += [(f"{k}_{label}", k, i) for i, label in enumerate(labels) for k in ("n_f", "flag")]
+    return series, columns, (f"{axis.name} / omega_m", "n_f", True)
 
 
-# Figure builder -> (builder function, x label, y label, log y axis).
-_FIGURES = {
-    "fig3": (_fig3, "omega / omega_m", "S xzpf^2 / omega_m", False),
-    "fig4": (_fig4, "delta2p / omega_m", "kappa / omega_m", True),
-    "fig5a": (_fig5a, "J / omega_m", "n_f", True),
-    "fig5b": (_fig5b, "kappa / omega_m", "n_f", True),
-    "fig6a": (_fig6a, "kappa / omega_m", "n_f", True),
-    "fig6b": (_fig6b, "kappa3 / omega_m", "n_f", True),
+def _kappa_j_squared(fields):
+    """SweptJ parameters of `fields` with kappa = J^2 (fig5a's coupling)."""
+    return params.SweptJ(**fields | {"kappa": params.square(fields["J"])})
+
+
+FIG3 = dict(delta3=0.5, kappa=100.0, kappa3=1.0, J=10.0, Omega_m=5.0, gamma=1e-5, build=_spectra)
+FIG3_WIDE = (Axis("omega", -300.0, 300.0, 4001, "lin"),)
+FIG3_DETAIL = (Axis("omega", -30.0, 30.0, 6001, "lin"),)
+FIG456 = dict(delta3=0.5, kappa3=1.0, Omega_m=0.25, gamma=1e-5)
+FIG4 = dict(FIG456, build=_rate_map,
+            axes=(Axis("kappa", 1.0, 1000.0, 61, "log"), Axis("ratio", -3.0, 3.0, 121, "lin")))
+# Curves whose points take J = sqrt(kappa) and delta2p = J^2/(delta3 + 1), unless set otherwise.
+CURVES = dict(FIG456, build=_curves, couple=_preset_coupled, dual=False)
+KAPPA_AXES = (Axis("kappa", 1.0, 1000.0, 200, "log"),)
+
+FIGURE_PRESETS = {
+    "fig3a": dict(FIG3, delta2p=100.0, axes=FIG3_WIDE),
+    "fig3b": dict(FIG3, delta2p=100.0, axes=FIG3_DETAIL),
+    "fig3c": dict(FIG3, delta2p=0.0, axes=FIG3_WIDE),
+    "fig3d": dict(FIG3, delta2p=0.0, axes=FIG3_DETAIL),
+    "fig3e": dict(FIG3, delta2p=-100.0, axes=FIG3_WIDE),
+    "fig3f": dict(FIG3, delta2p=-100.0, axes=FIG3_DETAIL),
+    "fig4a": dict(FIG4, single=True),
+    "fig4b": dict(FIG4, single=False),
+    "fig5a": dict(CURVES, couple=_kappa_j_squared, delta2p=1.0, gamma_sc=RECOIL_50NM, dual=True,
+                  axes=(Axis("J", 0.05, 15.0, 300, "lin"),), curves=(("coupled", {}),)),
+    "fig5b": dict(CURVES, gamma_sc=RECOIL_50NM, dual=True, axes=KAPPA_AXES,
+                  curves=(("coupled", {}),)),
+    "fig6a": dict(CURVES, axes=KAPPA_AXES, curves=tuple(
+        (f"r{r:g}nm", {"gamma_sc": params.recoil_heating(r * 1e-9, 2.0, 1e-6)})
+        for r in (40.0, 50.0, 60.0))),
+    "fig6b": dict(CURVES, gamma_sc=RECOIL_50NM, axes=(Axis("kappa3", 0.05, 10.0, 200, "log"),),
+                  curves=tuple((f"kappa{k:g}", {"kappa": k}) for k in (10.0, 50.0, 100.0))),
 }
 
 
 def run_figure(preset_id, out_path):
     """Write the CSV of figure preset `preset_id` and its gnuplot sidecar; returns the sidecar path.
 
-    A figure over two axes is a long-format map, plotted as a surface of its axes' sizes.
+    The preset's `FIGURE_PRESETS` entry is the whole figure: parameter fields, `axes` (gridded
+    only here), and a builder `build` that takes the entry, with its settings, and gives the
+    (series, columns) of `tabulate` and the plot's (x label, y label, log y).  A figure over
+    two axes is a long-format map, plotted as a surface of its axes' sizes.
     """
     if preset_id not in FIGURE_PRESETS:
         raise ValidationError(f"unknown figure preset {preset_id!r}")
-    builder = preset_id[:4] if preset_id[:4] in ("fig3", "fig4") else preset_id
-    build, xlabel, ylabel, logy = _FIGURES[builder]
-    axes, series, columns = build(FIGURE_PRESETS[preset_id])
-    rows, schema = tabulate(axes, series, columns)
+    preset = FIGURE_PRESETS[preset_id]
+    axes = preset["axes"]
+    series, columns, (xlabel, ylabel, logy) = preset["build"](preset)
+    rows, schema = tabulate([(axis.name, axis.grid()) for axis in axes], series, columns)
     emit_csv(rows, schema, out_path)
     gp_path = str(out_path).removesuffix(".csv") + ".gp"
     value_columns = [i + 1 for i, name in enumerate(schema) if not name.startswith("flag")][1:]
     _write_gnuplot(
         gp_path, out_path, preset_id, xlabel, ylabel, value_columns,
-        logy=logy, surface=[len(grid) for _, grid in axes] if len(axes) == 2 else None,
+        logy=logy, surface=[axis.count for axis in axes] if len(axes) == 2 else None,
     )
     return gp_path
 

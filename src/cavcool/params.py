@@ -293,5 +293,12 @@ def _gamma_sc_from_config(numbers):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    """Parse the UTF-8 config file at `path`; other bytes are a ConfigError naming their offset."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte = data[exc.start]
+        raise ConfigError(f"{path}: byte 0x{byte:02x} at offset {exc.start} is not UTF-8")
+    return parse_config(text)

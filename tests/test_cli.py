@@ -1,11 +1,11 @@
 """CLI tests: subcommands, CSV discipline, presets, determinism, exit codes."""
 
+import functools
 import math
 import re
 import struct
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,19 +164,17 @@ def tables(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(table=tables(), slice_rows=st.integers(1, 8))
-def test_rows_match_per_cell_formatting(tmp_path, table, slice_rows):
+@given(table=tables())
+def test_rows_match_per_cell_formatting(tmp_path, table):
     """The CSV writer writes the bytes of formatting each cell by its
     column's dtype and joining them, for float64 bit patterns (NaN
-    payloads, +-inf, +-0, subnormals), bool and str cells.  Blocks of
-    unequal length are split into slices of `slice_rows` rows; float
-    columns repeat values from small pools, so slices with few and with
-    many distinct values both occur."""
+    payloads, +-inf, +-0, subnormals), bool and str cells.  Blocks are of
+    unequal length, and float columns repeat values from small pools, so
+    blocks with few and with many distinct values both occur."""
     schema, text, rows = table
     expected = ",".join(schema) + "\n" + "".join(",".join(cells) + "\n" for cells in text)
     out = tmp_path / "table.csv"
-    with mock.patch.object(cli, "BLOCK_POINTS", slice_rows):
-        cli.emit_csv(rows, schema, out)
+    cli.emit_csv(rows, schema, out)
     assert out.read_bytes() == expected.encode("utf-8")
 
 
@@ -494,6 +492,18 @@ class TestSweep:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("count", ["2.5", "1e3"])
+    def test_non_integer_axis_count_is_named(self, config_path, tmp_path, capsys, count):
+        axis = f"kappa:1:10:{count}:log"
+        rc = cli.main([
+            "sweep", "--config", config_path, "--out", str(tmp_path / "x.csv"),
+            "--axis1", axis, "--quantity", "n_f",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: axis count must be an integer, got {count!r} in {axis!r}\n"
+        )
+
     REFUSED = "sets J and delta2p itself; it cannot be combined with"
 
     @pytest.mark.parametrize("extra, message", [
@@ -698,30 +708,49 @@ class TestSweep:
 
 class TestFigurePresets:
     def test_preset_constants_pinned(self):
+        presets = cli.FIGURE_PRESETS
         # Spectrum presets: delta3 = 0.5, kappa = 100, kappa3 = 1, J = sqrt(kappa),
-        # Omega_m = 5; cooling presets: Omega_m = 1/4, gamma = 1e-5.
-        for fig in ("fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f"):
-            preset = cli.FIGURE_PRESETS[fig]
-            assert preset["delta3"] == 0.5
-            assert preset["kappa"] == 100.0
-            assert preset["kappa3"] == 1.0
-            assert preset["J"] == math.sqrt(100.0)
-            assert preset["Omega_m"] == 5.0
-            assert preset["gamma"] == 1e-5
-        assert cli.FIGURE_PRESETS["fig3a"]["delta2p"] == 100.0
-        assert cli.FIGURE_PRESETS["fig3c"]["delta2p"] == 0.0
-        assert cli.FIGURE_PRESETS["fig3e"]["delta2p"] == -100.0
+        # Omega_m = 5, on a wide and a detail omega window.
+        spectrum = dict(delta3=0.5, kappa=100.0, kappa3=1.0, J=math.sqrt(100.0), Omega_m=5.0,
+                        gamma=1e-5, build=cli._spectra)
+        wide = (cli.Axis("omega", -300.0, 300.0, 4001, "lin"),)
+        detail = (cli.Axis("omega", -30.0, 30.0, 6001, "lin"),)
+        for figs, delta2p in (("ab", 100.0), ("cd", 0.0), ("ef", -100.0)):
+            for fig, axes in zip(figs, (wide, detail)):
+                assert presets[f"fig3{fig}"] == dict(spectrum, delta2p=delta2p, axes=axes)
+        # Cooling presets: Omega_m = 1/4, gamma = 1e-5.
         for fig in ("fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b"):
-            preset = cli.FIGURE_PRESETS[fig]
+            preset = presets[fig]
             assert preset["delta3"] == 0.5
+            assert preset["kappa3"] == 1.0
             assert preset["Omega_m"] == 0.25
             assert preset["gamma"] == 1e-5
-        assert cli.FIGURE_PRESETS["fig5a"]["delta2p"] == 1.0
-        assert cli.FIGURE_PRESETS["fig5b"]["gamma_sc"] == pytest.approx(
-            params.recoil_heating(50e-9, 2.0, 1e-6)
+        rate_map = (
+            cli.Axis("kappa", 1.0, 1000.0, 61, "log"), cli.Axis("ratio", -3.0, 3.0, 121, "lin"),
         )
-        assert cli.FIGURE_PRESETS["fig6a"]["radii_nm"] == (40.0, 50.0, 60.0)
-        assert cli.FIGURE_PRESETS["fig6b"]["kappas"] == (10.0, 50.0, 100.0)
+        for fig, single in (("fig4a", True), ("fig4b", False)):
+            assert presets[fig]["axes"] == rate_map
+            assert presets[fig]["single"] is single
+        recoil = functools.partial(params.recoil_heating, epsilon=2.0, wavelength=1e-6)
+        for fig in ("fig5a", "fig5b", "fig6b"):
+            assert presets[fig]["gamma_sc"] == pytest.approx(recoil(50e-9))
+        assert presets["fig5a"]["delta2p"] == 1.0
+        assert presets["fig5a"]["couple"] is cli._kappa_j_squared
+        assert presets["fig5a"]["axes"] == (cli.Axis("J", 0.05, 15.0, 300, "lin"),)
+        kappa = (cli.Axis("kappa", 1.0, 1000.0, 200, "log"),)
+        radii, kappas = (40.0, 50.0, 60.0), (10.0, 50.0, 100.0)
+        curves = {
+            "fig5b": (kappa, True, (("coupled", {}),)),
+            "fig6a": (kappa, False, tuple(
+                (f"r{r:g}nm", {"gamma_sc": recoil(r * 1e-9)}) for r in radii)),
+            "fig6b": ((cli.Axis("kappa3", 0.05, 10.0, 200, "log"),), False,
+                      tuple((f"kappa{k:g}", {"kappa": k}) for k in kappas)),
+        }
+        assert presets["fig5a"]["curves"] == curves["fig5b"][2]
+        for fig, (axes, dual, fig_curves) in curves.items():
+            preset = presets[fig]
+            assert preset["couple"] is cli._preset_coupled
+            assert (preset["axes"], preset["dual"], preset["curves"]) == (axes, dual, fig_curves)
 
     def test_fig3d_emits_csv_and_sidecar(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -772,18 +801,25 @@ class TestFigurePresets:
         ]
         assert rows == expected
 
-    def test_fig6b_curves_are_preset_coupling_sweeps(self, tmp_path):
-        figure = tmp_path / "fig6b.csv"
-        assert cli.main(["figure", "--id", "fig6b", "--out", str(figure)]) == 0
+    @pytest.mark.parametrize("preset_id", ["fig5b", "fig6a", "fig6b"])
+    def test_preset_coupled_curves_are_sweeps(self, tmp_path, preset_id):
+        """Each curve of a preset-coupled figure is `sweep --preset-coupling`
+        over the figure's axis, at the preset's fields with the curve's
+        changes, read from the registry."""
+        figure = tmp_path / f"{preset_id}.csv"
+        assert cli.main(["figure", "--id", preset_id, "--out", str(figure)]) == 0
         fig_header, fig_rows = read_csv(figure)
-        preset = cli.FIGURE_PRESETS["fig6b"]
-        for kappa in preset["kappas"]:
+        preset = cli.FIGURE_PRESETS[preset_id]
+        (axis,) = preset["axes"]
+        spec = f"{axis.name}:{axis.lo!r}:{axis.hi!r}:{axis.count}:{axis.scale}"
+        for label, changes in preset["curves"]:
             header, rows = self._preset_sweep(
-                tmp_path, dict(preset, kappa=kappa), f"sweep6b_{kappa:g}",
-                ["--axis1", "kappa3:0.05:10:200:log", "--quantity", "n_f"],
+                tmp_path, preset | changes, f"sweep_{label}",
+                ["--axis1", spec, "--quantity", "n_f"],
             )
-            assert header == ["kappa3", "n_f", "flag"]
-            n_f = fig_header.index(f"n_f_kappa{kappa:g}")
+            assert header == [axis.name, "n_f", "flag"]
+            n_f = fig_header.index(f"n_f_{label}")
+            assert fig_header[n_f + 1] == f"flag_{label}"
             assert rows == [[row[0], row[n_f], row[n_f + 1]] for row in fig_rows]
 
     def test_unknown_preset_exits_2(self, tmp_path):
@@ -886,6 +922,18 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: Omega_m must be at most 1.341e+154 in magnitude, got 1e+200\n"
+        )
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "o.csv"
+        rc = cli.main(["limit", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        offset = len(CONFIG.encode()) + len("# caf")
+        assert capsys.readouterr().err == (
+            f"error: {config}: byte 0xe9 at offset {offset} is not UTF-8\n"
         )
         assert not out.exists()
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 at top level that it never uses; every top-level function and class of the
 package is named somewhere outside its own definition; and importing the
-CLI loads nothing but the standard library, numpy and cavcool.
+CLI loads nothing but the standard library, numpy and cavcool, and builds
+no numpy array.
 
 The first two checks read the sources with the standard library's `ast`
 module, so they need no linter.  A name counts as used when it appears
@@ -11,12 +12,16 @@ anywhere in the module as a bare name, which covers attribute access
 
 import ast
 import collections
+import dataclasses
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from cavcool import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -123,3 +128,32 @@ def test_cli_import_loads_only_stdlib_and_numpy():
     ).stdout.split()
     assert "cavcool" in loaded
     assert sorted(set(loaded) - set(sys.stdlib_module_names) - {"numpy", "cavcool"}) == []
+
+
+def arrays_in(value, where):
+    """Where `value`, or a dict, list, tuple or dataclass value inside it, is an ndarray."""
+    if isinstance(value, np.ndarray):
+        return [where]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        items = vars(value).items()
+    else:
+        return []
+    return [found for key, item in items for found in arrays_in(item, f"{where}[{key!r}]")]
+
+
+def test_checker_finds_nested_arrays():
+    axis = cli.Axis("kappa", 1.0, 2.0, 3, "lin")
+    value = {"a": (1.0, np.zeros(2)), "b": [axis, dataclasses.replace(axis, lo=np.ones(1))]}
+    assert arrays_in(value, "v") == ["v['a'][1]", "v['b'][1]['lo']"]
+
+
+def test_cli_import_builds_no_array():
+    """Every CLI process and benchmark worker imports `cavcool.cli`, so its
+    values, the figure registry's entries among them, hold no numpy array:
+    a figure's grids are made only when that figure runs."""
+    values = {name: value for name, value in vars(cli).items() if not name.startswith("__")}
+    assert arrays_in(values, "cli") == []

@@ -312,6 +312,14 @@ class TestConfig:
         path.write_text(CONFIG_OK, encoding="utf-8")
         assert params.load_config(path) == params.parse_config(CONFIG_OK)
 
+    def test_load_config_names_a_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(CONFIG_OK.encode("utf-8") + "# café\n".encode("latin-1"))
+        offset = len(CONFIG_OK.encode("utf-8")) + len("# caf")
+        message = f"{path}: byte 0xe9 at offset {offset} is not UTF-8"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            params.load_config(path)
+
     def test_normalized_mode_rejects_omega_m_key(self):
         with pytest.raises(ConfigError, match="omega_m"):
             params.parse_config(CONFIG_OK + "omega_m = 1e6\n")
