@@ -322,6 +322,7 @@ class Axis:
 
 
 def parse_axis(text):
+    """The Axis of `name:lo:hi:count:lin|log`: lo and hi by Python's `float`, count in ASCII digits."""
     parts = text.split(":")
     if len(parts) != 5:
         raise ValidationError(f"axis spec must be name:lo:hi:count:lin|log, got {text!r}")
@@ -332,10 +333,9 @@ def parse_axis(text):
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise ValidationError(f"non-numeric axis bounds in {text!r}")
-    try:
-        count = int(count)
-    except ValueError:
+    if not (count.isascii() and count.isdigit()):
         raise ValidationError(f"axis count must be an integer, got {count!r} in {text!r}")
+    count = int(count)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError(f"axis bounds must be finite in {text!r}")
     if count < 2:

@@ -4,14 +4,15 @@ Every analysis routine in this package consumes :class:`NormalizedParams`, in
 which all rates are measured in units of the mechanical frequency omega_m.
 Its fields may be floats or ndarrays that broadcast together; a params object
 with array fields is a block of parameter points, and every per-point routine
-evaluates the whole block at once.  The only SI input is the config's
-sphere description (radius_nm, epsilon, lambda_um), from which
-:func:`recoil_heating` derives gamma_sc.
+evaluates the whole block at once.  `DOMAIN` states once which values each
+field accepts, and `_require` is the one check behind it, also for the SI
+inputs.  The only SI input is the config's sphere description (radius_nm,
+epsilon, lambda_um), from which :func:`recoil_heating` derives gamma_sc.
 """
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
@@ -19,6 +20,53 @@ from .errors import ConfigError, ValidationError
 
 # Largest magnitude of a parameter value: `square` of anything larger overflows.
 MAX_MAGNITUDE = math.sqrt(sys.float_info.max)
+
+# The accepted values of each field, in field order.  Every kind also bounds
+# the magnitude by MAX_MAGNITUDE; NaN and inf fail all three.
+DOMAIN = {
+    "delta2p": "finite",
+    "delta3": "finite",
+    "kappa": "positive",
+    "kappa3": "positive",
+    "J": "nonnegative",
+    "Omega_m": "nonnegative",
+    "gamma": "nonnegative",
+    "gamma_sc": "nonnegative",
+    "n_th": "nonnegative",
+}
+RATE_KEYS = tuple(DOMAIN)
+
+_IN_DOMAIN = {
+    "finite": lambda x: abs(x) <= MAX_MAGNITUDE,
+    "positive": lambda x: (x > 0.0) & (x <= MAX_MAGNITUDE),
+    "nonnegative": lambda x: (x >= 0.0) & (x <= MAX_MAGNITUDE),
+}
+
+
+def _require(value, name, kind):
+    """Raise ValidationError naming `name` unless every element of `value` is `kind`.
+
+    A Python float is compared as it is; any other value (an int, a numpy
+    scalar, an array) as an array, elementwise.  The first failing element
+    is reported: a finite one that `kind` accepts once clipped to
+    MAX_MAGNITUDE is too large, any other is outside the domain.
+    """
+    in_domain = _IN_DOMAIN[kind]
+    if type(value) is float:
+        if in_domain(value):
+            return
+        bad = value
+    else:
+        value = np.asarray(value)
+        ok = in_domain(value)
+        if ok.all():
+            return
+        bad = value[~ok].item(0)
+    if math.isfinite(bad) and in_domain(max(-MAX_MAGNITUDE, min(bad, MAX_MAGNITUDE))):
+        raise ValidationError(f"{name} must be at most {MAX_MAGNITUDE:.4g} in magnitude, got {bad}")
+    if kind == "finite":
+        raise ValidationError(f"{name} must be finite")
+    raise ValidationError(f"{name} must be {kind} and finite, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +77,7 @@ class NormalizedParams:
     real and nonnegative.  gamma_sc is the photon-recoil phonon heating rate,
     n_th the thermal bath occupancy.  Each field is a float or an ndarray;
     `shape` is the broadcast shape of all fields, () for a single point.
-    Every value must be finite and at most MAX_MAGNITUDE in magnitude.
+    Each value must lie in its field's `DOMAIN`, checked in field order.
     """
 
     delta2p: float
@@ -43,16 +91,8 @@ class NormalizedParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        _require_positive(self.kappa, "kappa")
-        _require_positive(self.kappa3, "kappa3")
-        _require_nonnegative(self.gamma, "gamma")
-        _require_nonnegative(self.gamma_sc, "gamma_sc")
-        _require_nonnegative(self.n_th, "n_th")
-        _require_nonnegative(self.J, "J")
-        _require_nonnegative(self.Omega_m, "Omega_m")
-        for name in ("delta2p", "delta3"):
-            if bad := _failures(getattr(self, name), _bounded):
-                raise _invalid(name, bad[0], _bounded, f"{name} must be finite")
+        for name, kind in DOMAIN.items():
+            _require(getattr(self, name), name, kind)
         shapes = {getattr(getattr(self, k), "shape", ()) for k in RATE_KEYS}
         try:
             shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
@@ -72,57 +112,6 @@ class SweptJ(NormalizedParams):
     the last bit; fig5a and sweeps over a J axis use numpy's order, and the
     golden digests in tests/test_golden.py pin those bytes.
     """
-
-
-def _failures(value, in_range):
-    """The elements of `value` where `in_range` is false.
-
-    Every `in_range` below fails NaN, inf and magnitudes above
-    MAX_MAGNITUDE.  A Python float is compared as it is; any other value (an
-    int, a numpy scalar, an array) as an array, elementwise.
-    """
-    if type(value) is float:
-        return [] if in_range(value) else [value]
-    value = np.asarray(value)
-    ok = in_range(value)
-    if ok.all():
-        return []
-    return value[~ok].tolist() if value.ndim else [value.item()]
-
-
-def _positive(x):
-    return (x > 0.0) & (x <= MAX_MAGNITUDE)
-
-
-def _nonnegative(x):
-    return (x >= 0.0) & (x <= MAX_MAGNITUDE)
-
-
-def _bounded(x):
-    return abs(x) <= MAX_MAGNITUDE
-
-
-def _invalid(name, x, in_range, message):
-    """The error for a failing value `x` of `name`: a finite `x` that
-    `in_range` accepts once clipped to MAX_MAGNITUDE is too large; any other
-    `x` gets `message`."""
-    if math.isfinite(x) and in_range(max(-MAX_MAGNITUDE, min(x, MAX_MAGNITUDE))):
-        return ValidationError(
-            f"{name} must be at most {MAX_MAGNITUDE:.4g} in magnitude, got {x}"
-        )
-    return ValidationError(message)
-
-
-def _require_positive(value, name):
-    if bad := _failures(value, _positive):
-        raise _invalid(name, bad[0], _positive, f"{name} must be positive and finite, got {bad[0]}")
-
-
-def _require_nonnegative(value, name):
-    if bad := _failures(value, _nonnegative):
-        raise _invalid(
-            name, bad[0], _nonnegative, f"{name} must be nonnegative and finite, got {bad[0]}"
-        )
 
 
 def square(x):
@@ -147,8 +136,8 @@ def recoil_heating(radius, epsilon=2.0, wavelength=1.0e-6):
     gamma_sc / omega_m = (4 pi^2 / 5) * (eps-1)/(eps+2) * V / lambda^3,
     with V the sphere volume.  Grows with the cube of the radius.
     """
-    _require_positive(radius, "radius")
-    _require_positive(wavelength, "wavelength")
+    _require(radius, "radius", "positive")
+    _require(wavelength, "wavelength", "positive")
     if not math.isfinite(epsilon):
         raise ValidationError(f"epsilon must be finite, got {epsilon}")
     if not epsilon > 1.0:
@@ -165,7 +154,7 @@ def recoil_heating(radius, epsilon=2.0, wavelength=1.0e-6):
 
 def j_sideband_preset(kappa_normalized):
     """J = sqrt(kappa * omega_m) in units of omega_m (figure-style choice)."""
-    _require_positive(kappa_normalized, "kappa")
+    _require(kappa_normalized, "kappa", "positive")
     return unwrap(np.sqrt(kappa_normalized))
 
 
@@ -173,24 +162,11 @@ def j_sideband_preset(kappa_normalized):
 # Flat key-value config format
 # ---------------------------------------------------------------------------
 
-RATE_KEYS = (
-    "delta2p",
-    "delta3",
-    "kappa",
-    "kappa3",
-    "J",
-    "Omega_m",
-    "gamma",
-    "gamma_sc",
-    "n_th",
-)
 # The physical keys that derive gamma_sc when it is not given.
 PHYSICAL_KEYS = ("radius_nm", "epsilon", "lambda_um")
 # `omega_m` (rad/s) is required when omega_m_units = si; the rate keys alone
 # carry no frequency scale to normalize against.
 CONFIG_KEYS = ("omega_m_units", "omega_m") + RATE_KEYS + PHYSICAL_KEYS
-
-_REQUIRED_RATE_KEYS = ("delta2p", "delta3", "kappa", "kappa3", "J", "Omega_m")
 
 
 def parse_config(text):
@@ -198,11 +174,13 @@ def parse_config(text):
 
     Lines starting with `#` and blank lines are ignored.  Unknown keys are a
     hard error.  With `omega_m_units = si` the rate keys are read as rad/s
-    and divided by the mandatory `omega_m` key; the default mode
-    (`normalized`) reads them as multiples of omega_m directly.  gamma_sc
-    may be omitted and derived from all three physical keys (radius_nm,
-    epsilon, lambda_um); a partial set, or physical keys beside gamma_sc,
-    is an error.
+    and divided by the mandatory `omega_m` key, which must be positive; n_th
+    is an occupancy and is never divided.  The default mode (`normalized`)
+    reads them as multiples of omega_m directly.  A rate key left out takes
+    its `NormalizedParams` default.  gamma_sc may be omitted and derived from
+    all three physical keys (radius_nm, epsilon, lambda_um); a partial set,
+    or physical keys beside gamma_sc, is an error.  Every value outside its
+    domain is a ConfigError with the `ValidationError` message.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,63 +215,52 @@ def parse_config(text):
         except ValueError:
             raise ConfigError(f"line {lineno}: value for {key!r} is not a number: {value!r}")
 
-    scale = 1.0
-    if units == "si":
-        if "omega_m" not in numbers:
-            raise ConfigError("omega_m_units = si requires an `omega_m` key (rad/s)")
-        scale = numbers.pop("omega_m")
-        if not (math.isfinite(scale) and scale > 0.0):
-            raise ConfigError(f"omega_m must be positive, got {scale}")
-    elif "omega_m" in numbers:
+    if units == "si" and "omega_m" not in numbers:
+        raise ConfigError("omega_m_units = si requires an `omega_m` key (rad/s)")
+    if units != "si" and "omega_m" in numbers:
         raise ConfigError("`omega_m` key is only meaningful with omega_m_units = si")
 
-    missing = [k for k in _REQUIRED_RATE_KEYS if k not in numbers]
-    if missing:
+    field = NormalizedParams.__dataclass_fields__
+    if missing := [k for k in RATE_KEYS if k not in numbers and field[k].default is MISSING]:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    rates = {k: numbers[k] / scale for k in _REQUIRED_RATE_KEYS}
-    rates["gamma"] = numbers.get("gamma", 0.0) / scale
-    rates["n_th"] = numbers.get("n_th", 0.0)
-
     physical = [k for k in PHYSICAL_KEYS if k in numbers]
-    if "gamma_sc" in numbers:
-        if physical:
-            raise ConfigError(
-                f"gamma_sc is given, so {', '.join(physical)} would be ignored; "
-                "give one or the other"
-            )
-        rates["gamma_sc"] = numbers["gamma_sc"] / scale
-    elif physical:
-        if missing := [k for k in PHYSICAL_KEYS if k not in numbers]:
-            raise ConfigError(
-                f"physical keys {', '.join(physical)} given without {', '.join(missing)}; "
-                "deriving gamma_sc needs all three"
-            )
-        rates["gamma_sc"] = _gamma_sc_from_config(numbers)
-    else:
-        rates["gamma_sc"] = 0.0
+    if physical and "gamma_sc" in numbers:
+        raise ConfigError(
+            f"gamma_sc is given, so {', '.join(physical)} would be ignored; "
+            "give one or the other"
+        )
+    if physical and (missing := [k for k in PHYSICAL_KEYS if k not in numbers]):
+        raise ConfigError(
+            f"physical keys {', '.join(physical)} given without {', '.join(missing)}; "
+            "deriving gamma_sc needs all three"
+        )
 
     try:
+        scale = numbers.get("omega_m", 1.0)
+        _require(scale, "omega_m", "positive")
+        rates = {
+            k: numbers[k] if k == "n_th" else numbers[k] / scale
+            for k in RATE_KEYS
+            if k in numbers
+        }
+        if physical:
+            _require(numbers["radius_nm"], "radius_nm", "positive")
+            _require(numbers["lambda_um"], "lambda_um", "positive")
+            rates["gamma_sc"] = recoil_heating(
+                numbers["radius_nm"] * 1e-9, numbers["epsilon"], numbers["lambda_um"] * 1e-6
+            )
         return NormalizedParams(**rates)
     except ValidationError as exc:
         raise ConfigError(str(exc))
 
 
-def _gamma_sc_from_config(numbers):
-    try:
-        _require_positive(numbers["radius_nm"], "radius_nm")
-        _require_positive(numbers["lambda_um"], "lambda_um")
-        return recoil_heating(
-            numbers["radius_nm"] * 1e-9,
-            numbers["epsilon"],
-            numbers["lambda_um"] * 1e-6,
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc))
-
-
 def load_config(path):
-    """Parse the UTF-8 config file at `path`; other bytes are a ConfigError naming their offset."""
+    """Parse the UTF-8 config file at `path`; other bytes are a ConfigError naming their offset.
+
+    One leading byte-order mark is dropped after decoding, so the offsets
+    count it: `utf-8-sig` would report them past the mark.
+    """
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -301,4 +268,4 @@ def load_config(path):
     except UnicodeDecodeError as exc:
         byte = data[exc.start]
         raise ConfigError(f"{path}: byte 0x{byte:02x} at offset {exc.start} is not UTF-8")
-    return parse_config(text)
+    return parse_config(text.removeprefix("\ufeff"))

@@ -492,7 +492,7 @@ class TestSweep:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("count", ["2.5", "1e3"])
+    @pytest.mark.parametrize("count", ["2.5", "1e3", "1_0", "\u0665", "+5", " 5"])
     def test_non_integer_axis_count_is_named(self, config_path, tmp_path, capsys, count):
         axis = f"kappa:1:10:{count}:log"
         rc = cli.main([

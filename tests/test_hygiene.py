@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
-at top level that it never uses; every top-level function and class of the
-package is named somewhere outside its own definition; and importing the
-CLI loads nothing but the standard library, numpy and cavcool, and builds
-no numpy array.
+at top level that it never uses; every top-level function, class and
+constant of the package is named somewhere outside its own definition;
+and importing the CLI loads nothing but the standard library, numpy and
+cavcool, and builds no numpy array.
 
 The first two checks read the sources with the standard library's `ast`
 module, so they need no linter.  A name counts as used when it appears
@@ -79,19 +79,31 @@ def mentions(node):
     return found
 
 
+def definitions(tree):
+    """(name, node) of each top-level function, class and assigned name of `tree`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+
+
 def unreferenced_definitions(defining, referring):
-    """`module.name` of each top-level function and class of the `defining`
-    sources (module -> source) that no `referring` source names outside
-    that definition."""
+    """`module.name` of each top-level function, class and constant of the
+    `defining` sources (module -> source) that no `referring` source names
+    outside that definition."""
     named = collections.Counter()
     for source in referring.values():
         named += mentions(ast.parse(source))
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, source in defining.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and named[node.name] <= mentions(node)[node.name]
+        for name, node in definitions(ast.parse(source))
+        if named[name] <= mentions(node)[name]
     ]
 
 
@@ -104,8 +116,23 @@ def test_checker_finds_unreferenced_definitions():
     )
     harness = "WRAPPED = ('m', 'Wrapped')\n"
     sources = {"m": module, "bench": harness}
-    assert unreferenced_definitions({"m": module}, sources) == ["m.recursive"]
-    assert unreferenced_definitions({"m": module}, {"m": module}) == ["m.recursive", "m.Wrapped"]
+    assert unreferenced_definitions({"m": module}, sources) == ["m.recursive", "m.x"]
+    assert unreferenced_definitions({"m": module}, {"m": module}) == [
+        "m.recursive", "m.Wrapped", "m.x"
+    ]
+
+
+def test_checker_finds_unreferenced_constants():
+    module = (
+        "LIMIT = 2.0\n"
+        "TABLE = {'a': LIMIT}\n"
+        "ORPHAN: tuple = ('a', 'b')\n"
+        "LO, HI = 0, 1\n"
+        "def f():\n    return TABLE[HI]\n"
+    )
+    assert unreferenced_definitions({"m": module}, {"m": module, "bench": "m.f()\n"}) == [
+        "m.ORPHAN", "m.LO"
+    ]
 
 
 def test_every_definition_is_referenced():

@@ -1,5 +1,6 @@
 """Unit tests for the normalized parameter model, the recoil rate, and the config format."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -129,6 +130,13 @@ FORMS = {
 
 
 class TestValidationTable:
+    def test_domain_covers_every_field_as_specified(self):
+        # No field can skip validation, and the table agrees with CONSTRAINTS.
+        fields = tuple(f.name for f in dataclasses.fields(NormalizedParams))
+        assert tuple(params.DOMAIN) == params.RATE_KEYS == fields
+        spec = {name: requirement.split()[0] for name, (requirement, _) in CONSTRAINTS.items()}
+        assert params.DOMAIN == spec
+
     @pytest.mark.parametrize("form", sorted(FORMS))
     @pytest.mark.parametrize(
         "name,bad",
@@ -285,11 +293,32 @@ class TestConfig:
         p = params.parse_config(text)
         assert (p.kappa, p.gamma, p.gamma_sc, p.n_th) == (25.0, 0.5, 0.25, 3.0)
 
-    @pytest.mark.parametrize("omega_m", ["0", "-1e6", "inf", "nan"])
-    def test_si_mode_rejects_bad_omega_m(self, omega_m):
+    @pytest.mark.parametrize(
+        "omega_m, message",
+        [
+            pytest.param("0", "omega_m must be positive and finite, got 0.0", id="0"),
+            pytest.param("-1e6", "omega_m must be positive and finite, got -1000000.0", id="-1e6"),
+            pytest.param("inf", "omega_m must be positive and finite, got inf", id="inf"),
+            pytest.param("nan", "omega_m must be positive and finite, got nan", id="nan"),
+            pytest.param(
+                "1e200", "omega_m must be at most 1.341e+154 in magnitude, got 1e+200", id="1e200"
+            ),
+        ],
+    )
+    def test_si_mode_rejects_bad_omega_m(self, omega_m, message):
         text = f"omega_m_units = si\nomega_m = {omega_m}\n" + CONFIG_RATES
-        with pytest.raises(ConfigError, match="omega_m must be positive"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             params.parse_config(text)
+
+    def test_missing_key_is_reported_before_a_bad_omega_m(self):
+        text = "omega_m_units = si\nomega_m = 0\n" + CONFIG_RATES.replace("kappa3 = 1\n", "")
+        with pytest.raises(ConfigError, match="^missing required keys: kappa3$"):
+            params.parse_config(text)
+
+    def test_omitted_rate_keys_take_the_defaults(self):
+        p = params.parse_config("omega_m_units = si\nomega_m = 2\n" + CONFIG_RATES)
+        assert p == NormalizedParams(delta2p=0.0, delta3=0.25, kappa=50.0, kappa3=0.5,
+                                     J=5.0, Omega_m=0.125)
 
     def test_unknown_units_rejected(self):
         with pytest.raises(ConfigError, match="line 1: omega_m_units must be `normalized` or `si`, got 'hz'"):
@@ -317,6 +346,19 @@ class TestConfig:
         path.write_bytes(CONFIG_OK.encode("utf-8") + "# café\n".encode("latin-1"))
         offset = len(CONFIG_OK.encode("utf-8")) + len("# caf")
         message = f"{path}: byte 0xe9 at offset {offset} is not UTF-8"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            params.load_config(path)
+
+    def test_load_config_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + CONFIG_OK.encode("utf-8"))
+        assert params.load_config(path) == params.parse_config(CONFIG_OK)
+
+    def test_load_config_counts_the_byte_order_mark_in_offsets(self, tmp_path):
+        # `utf-8-sig` would report offset 2 and byte 0xbf here.
+        path = tmp_path / "bom-latin1.cfg"
+        path.write_bytes(b"\xef\xbb\xbfab\xe9c")
+        message = f"{path}: byte 0xe9 at offset 5 is not UTF-8"
         with pytest.raises(ConfigError, match=re.escape(message)):
             params.load_config(path)
 

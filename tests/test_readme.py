@@ -1,10 +1,11 @@
-"""The README's config, CLI and library examples run as written."""
+"""The README's config, CLI and library examples run as written, and its
+parameter domain table is `params.DOMAIN`."""
 
 import re
 import shlex
 from pathlib import Path
 
-from cavcool import cli
+from cavcool import cli, params
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 # (language, text) of each fenced code block.
@@ -38,3 +39,8 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     for text in python_blocks:
         exec(compile(text, "README.md", "exec"), namespace)
     assert len(namespace["n_f"]) == 200
+
+
+def test_readme_domain_table_is_params_domain():
+    rows = re.findall(r"^\| `(\w+)` \| (\w+) \|$", README, re.MULTILINE)
+    assert rows == list(params.DOMAIN.items())
