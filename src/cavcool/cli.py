@@ -3,27 +3,29 @@
 Every subcommand writes an RFC-4180-style CSV (header row, LF endings,
 17-significant-digit floats) so that two runs with the same inputs produce
 byte-identical files.  `figure` also writes a gnuplot sidecar naming the CSV,
-and each figure is one `FIGURE_PRESETS` entry.  Every CSV but `oracle`'s is
-a `tabulate` table (axes, the parameters of each series, columns), evaluated
-by `evaluate_quantities` one block at a time as `emit_csv` writes it.  Exit
-codes: 0 success, 2 validation/usage error, 3 numeric failure.  Non-cooling,
-unstable or ill-conditioned parameter points are data (flag columns / NaN
-values), not failures: `evaluate_quantities` returns a boolean mask per
-condition, and `tabulate` renders each series' flag column from the masks.
-Exit 3 comes from `oracle`, when its Lyapunov solve misses the residual
-target, and from `selftest`, when an invariant check fails.
+and each figure is one `FIGURE_PRESETS` entry.  Every CSV is a `tabulate`
+table (axes, the parameters of each series, columns), evaluated by
+`evaluate_quantities` one block at a time as `emit_csv` writes it.  Exit
+codes: 0 success, 2 validation/usage error, 3 numeric failure: `oracle`'s
+Lyapunov solve missing its residual target, or a failed `selftest` check.
+Non-cooling, unstable or ill-conditioned parameter points are data (flag
+columns / NaN values), not failures: `evaluate_quantities` returns a
+boolean mask per condition, and `tabulate` renders each series' flag
+column from the masks.
 """
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cooling, invariants, lyapunov, params, reduction, response
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -31,8 +33,6 @@ EXIT_NUMERIC = 3
 
 # Recoil rate for the reference sphere (r = 50 nm, eps = 2, lambda = 1 um).
 RECOIL_50NM = params.recoil_heating(50e-9, 2.0, 1e-6)
-
-SWEEPABLE = params.RATE_KEYS + ("omega",)
 
 # Points evaluated per block: bounds the evaluator's temporary arrays, and a
 # `tabulate` table (a sweep, spectrum or figure) holds one block at a time.
@@ -78,16 +78,17 @@ def emit_csv(rows, schema, path):
 
     Floats carry 17 significant digits so a parse-back reproduces them
     bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
-    `1`/`0`.  The blocks are read once, in order, after the header is
-    written; a lazily evaluated table (a sweep or spectrum) is evaluated
-    here, one block at a time.  Each block is formatted as it comes: every
-    column gets its field and values from `_column_field`, and each row is
-    written with one `%`-format string.
+    `1`/`0`.  The blocks are read, so evaluated, once and in order after the
+    header; each is formatted as it comes, every column by `_column_field`
+    and each row by one `%`-format string.  The file appears whole or not at
+    all: the rows go to the sibling `<path>.part`, which replaces `path` once
+    the last row is written and is removed if anything fails.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
+    part = f"{path}.part"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(part, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(schema) + "\n")
             for columns in rows.blocks:
                 if len(columns) != len(schema):
@@ -98,8 +99,12 @@ def emit_csv(rows, schema, path):
                 row_format = ",".join(field for field, _ in fields) + "\n"
                 handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
                 del fields  # this block's text is freed before the next block is evaluated
+        os.replace(part, path)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(part)  # nothing is left there once it has replaced `path`
 
 
 def _write_gnuplot(path, csv_path, title, xlabel, ylabel, columns, logy=False, surface=None):
@@ -128,87 +133,88 @@ def _write_gnuplot(path, csv_path, title, xlabel, ylabel, columns, logy=False, s
 # Point evaluation: the one path from parameters to output values and conditions
 # ---------------------------------------------------------------------------
 
-COOLING_QUANTITIES = ("A_minus", "A_plus", "Gamma_opt", "n_q", "n_c", "n_f")
-EFFECTIVE_QUANTITIES = ("eta", "Omega_eff", "kappa_eff", "Delta_eff", "regime_ok")
-STABILITY_QUANTITIES = ("stable_single", "margin_single", "stable_coupled", "margin_coupled")
-EXACT_QUANTITIES = ("stable", "max_real_eig", "n_lyapunov")
+def _oracle(p, *_):
+    """`lyapunov.oracle_compare(p)`; a solve that misses RESIDUAL_RTOL raises NumericError."""
+    r, tol = lyapunov.oracle_compare(p), lyapunov.RESIDUAL_RTOL
+    if np.any(r.residual > tol):
+        raise NumericError(f"Lyapunov residual {np.nanmax(r.residual):.3e} exceeds target {tol:.1e}")
+    return r
 
-QUANTITIES = (
-    ("S_ff",)
-    + COOLING_QUANTITIES[:3]
-    + ("delta_omega_m",)
-    + COOLING_QUANTITIES[3:]
-    + EFFECTIVE_QUANTITIES
-    + STABILITY_QUANTITIES
-    + EXACT_QUANTITIES
-)
+
+# Intermediate -> its one computation, from the parameters, S_ff's `omega` and `once` (below).
+INTERMEDIATES = {
+    "spectrum": lambda p, omega, once: response.s_ff(omega, p),
+    "cooling": lambda p, *_: cooling.cooling_limit(p),
+    "spring": lambda p, *_: cooling.spring_shift(p),
+    "effective": lambda p, *_: reduction.effective_params(p),
+    "single": lambda p, *_: reduction.stability_single(p),
+    "coupled": lambda p, omega, once: reduction.stability_coupled(p, eff=once("effective")),
+    "eigen": lambda p, *_: lyapunov.eigen_stable(lyapunov.build_model(p)),
+    "solve": lambda p, *_: lyapunov.solve_steady(lyapunov.build_model(p)),
+    "oracle": _oracle,
+}
+
+# Condition -> its mask, from the intermediate of the quantity that raises it.
+CONDITIONS = {
+    "not_cooling": lambda report: np.logical_not(report.cooling),
+    "ill_conditioned": lambda result: np.asarray(result.residual) > lyapunov.RESIDUAL_RTOL,
+    "unstable": lambda result: np.logical_not(result.stable),
+}
+
+# Quantity -> (intermediates, attribute, conditions); see `evaluate_quantities`.  `oracle`'s
+# rows are its own: its occupancy is NaN wherever the formula does not cool.
+QUANTITY_TABLE = {
+    "S_ff": (("spectrum",), None, ()),
+    **{q: (("cooling",), q, ("not_cooling",)) for q in ("A_minus", "A_plus", "Gamma_opt")},
+    "delta_omega_m": (("spring",), None, ()),
+    **{q: (("cooling",), q, ("not_cooling",)) for q in ("n_q", "n_c", "n_f")},
+    **{q: (("effective",), q, ()) for q in ("eta", "Omega_eff", "kappa_eff", "Delta_eff")},
+    "regime_ok": (("effective",), "regime_ok", ()),
+    **{f"{a}_{s}": ((s,), a, ()) for s in ("single", "coupled") for a in ("stable", "margin")},
+    "stable": (("oracle", "solve", "eigen"), "stable", ()),
+    "max_real_eig": (("solve", "eigen"), "max_real_eigenvalue", ()),
+    "n_lyapunov": (("solve",), "n_phonon", ("ill_conditioned", "unstable")),
+    **{f"oracle.{a}": (("oracle",), a, ()) for a in ("n_formula", "n_lyapunov", "rel_dev")},
+}
+# The quantities a sweep may request: every row but `oracle`'s own.
+QUANTITIES = tuple(q for q, (keys, _, _) in QUANTITY_TABLE.items() if keys[-1] != "oracle")
 
 
 def evaluate_quantities(p, names, omega=None):
     """Evaluate the requested quantities at one parameter point or a block of them.
 
-    A block `p` has array fields of one shape (see `_block`), and `omega`,
-    which `S_ff` requires, has that shape too; it gives a dict of arrays.  A
-    single point with float fields gives Python scalars.  Returns (values,
-    conditions): `conditions` maps each condition found, in the order found,
-    to a boolean mask of the points where it holds.  Non-cooling, unstable
-    and ill-conditioned points yield NaN for the affected quantities and a
-    condition: `not_cooling` at the first cooling quantity, and at
-    `n_lyapunov` `ill_conditioned` (residual above RESIDUAL_RTOL), then
-    `unstable`.  `tabulate` renders the flag from them.  Each intermediate
-    (cooling report, effective parameters, verdict, eigenvalues or solve)
-    is computed once per call.
+    A block `p` (fields of one shape, as `omega`, which `S_ff` requires)
+    gives a dict of arrays, a point with float fields Python scalars.
+    Returns (values, conditions): `conditions` maps each condition found, in
+    the order found, to a boolean mask of the points where it holds.
+
+    A name's `QUANTITY_TABLE` row gives its value: the row's attribute (all
+    of it for None) of the first of the row's intermediates that a requested
+    quantity has last, so with `n_lyapunov` requested `stable` reads the
+    solve.  `once` computes each intermediate at most once.  A quantity read
+    records those of its conditions not found yet, by their `CONDITIONS`
+    masks: `not_cooling` at the first cooling quantity, `ill_conditioned`
+    (residual above RESIDUAL_RTOL) then `unstable` at `n_lyapunov`.
     """
-    values, conditions, memo = {}, {}, {}
+    rows = [QUANTITY_TABLE[name] for name in names]
+    needed = {keys[-1] for keys, _, _ in rows}
+    values, conditions = {}, {}
 
-    def once(key, compute):
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+    @functools.cache
+    def once(key):
+        return INTERMEDIATES[key](p, omega, once)
 
-    def effective():
-        # The coupled verdict reuses the effective parameters.
-        return once("effective", lambda: reduction.effective_params(p))
-
-    for name in names:
-        if name == "S_ff":
-            values[name] = response.s_ff(omega, p)
-        elif name in COOLING_QUANTITIES:
-            report = once("cooling", lambda: cooling.cooling_limit(p))
-            if "not_cooling" not in conditions:
-                conditions["not_cooling"] = np.logical_not(report.cooling)
-            values[name] = getattr(report, name)
-        elif name == "delta_omega_m":
-            values[name] = cooling.spring_shift(p)
-        elif name in EFFECTIVE_QUANTITIES:
-            values[name] = getattr(effective(), name)
-        elif name in STABILITY_QUANTITIES:
-            kind, series = name.split("_")
-            verdict = once(series, lambda: (
-                reduction.stability_single(p) if series == "single"
-                else reduction.stability_coupled(p, eff=effective())
-            ))
-            values[name] = getattr(verdict, kind)
-        elif name in EXACT_QUANTITIES:
-            if "n_lyapunov" in names:
-                result = once("solve", lambda: lyapunov.solve_steady(lyapunov.build_model(p)))
-                exact = (result.stable, result.max_real_eigenvalue, result.n_phonon)
-            else:
-                exact = once("eigen", lambda: lyapunov.eigen_stable(lyapunov.build_model(p)))
-            values[name] = exact[EXACT_QUANTITIES.index(name)]
-            if name == "n_lyapunov":
-                conditions["ill_conditioned"] = np.asarray(result.residual) > lyapunov.RESIDUAL_RTOL
-                conditions["unstable"] = np.logical_not(result.stable)
-        else:
-            raise ValidationError(f"unknown quantity {name!r}")
+    for name, (keys, attribute, raised) in zip(names, rows):
+        result = once(next(key for key in keys if key in needed))
+        values[name] = result if attribute is None else getattr(result, attribute)
+        for condition in raised:
+            if condition not in conditions:
+                conditions[condition] = CONDITIONS[condition](result)
+    del once  # it refers to itself: unbinding it frees its intermediates without a gc pass
     return values, conditions
 
 
-def _block(p, shape):
-    """p with every field broadcast to `shape`: a block of points for the evaluator."""
-    return p.replace(**{k: np.broadcast_to(getattr(p, k), shape) for k in params.RATE_KEYS})
-
-
+@dataclass
 class _Rows:
     """A table as blocks of equal-length 1-d column arrays, and its row
     count: the one table form that `emit_csv` writes.
@@ -220,22 +226,16 @@ class _Rows:
     the row count `count`, known before any block is made.
     """
 
-    def __init__(self, blocks, count):
-        self.blocks = blocks
-        self.count = count
+    blocks: object
+    count: int
 
     def __len__(self):
         return self.count
 
 
-def _columns(*arrays):
-    """Rows of equal-length columns, held as one block."""
-    return _Rows([arrays], len(arrays[0]))
-
-
 def tabulate(axes, series, columns):
     """(rows, schema) of `columns` over the grid of `axes`: the one path from
-    parameters to a CSV table, for every product but `oracle`.
+    parameters to a CSV table, for every product.
 
     `axes` are (name, 1-d grid) pairs; the rows run over their grid with the
     last axis varying fastest, and with no axes there is one row.
@@ -273,7 +273,7 @@ def tabulate(axes, series, columns):
         for count, point, ps in points():
             sources = []  # per series: its fields, quantities and flag by name
             for i, p in enumerate(ps):
-                wanted = [s for _, s, j in columns if j == i and s in QUANTITIES]
+                wanted = [s for _, s, j in columns if j == i and s in QUANTITY_TABLE]
                 values, conditions = evaluate_quantities(p, wanted, point.get("omega"))
                 # Object dtype, so rows share the flag strings; a later condition wins.
                 flag = np.full(p.shape, "ok", dtype=object)
@@ -294,12 +294,16 @@ def tabulate(axes, series, columns):
 # `tabulate`).  In a quantity `*` is the series, `single` when J = 0 and
 # `coupled` otherwise; the CSV header drops that suffix.
 POINT_SUBCOMMANDS = {
-    "rates": ("kappa", "delta2p") + COOLING_QUANTITIES[:3] + ("flag",),
-    "limit": ("kappa", "delta2p") + COOLING_QUANTITIES + ("flag",),
-    "stability": ("kappa", "kappa3", "J", "delta2p")
-    + EFFECTIVE_QUANTITIES[:4] + ("stable_*", "margin_*"),
-    "effective": ("kappa", "kappa3", "J", "delta2p") + EFFECTIVE_QUANTITIES,
+    "rates": ("kappa", "delta2p", "A_minus", "A_plus", "Gamma_opt", "flag"),
+    "limit": ("kappa", "delta2p", "A_minus", "A_plus", "Gamma_opt", "n_q", "n_c", "n_f", "flag"),
+    "stability": ("kappa", "kappa3", "J", "delta2p", "eta", "Omega_eff", "kappa_eff", "Delta_eff",
+                  "stable_*", "margin_*"),
+    "effective": ("kappa", "kappa3", "J", "delta2p", "eta", "Omega_eff", "kappa_eff", "Delta_eff",
+                  "regime_ok"),
 }
+# `oracle`'s header -> source: the formula against the exact solve at the config point.
+ORACLE = {"kappa": "kappa", "Omega_m": "Omega_m", "n_f_formula": "oracle.n_formula",
+          "n_lyapunov": "oracle.n_lyapunov", "rel_dev": "oracle.rel_dev", "stable": "stable"}
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +331,7 @@ def parse_axis(text):
     if len(parts) != 5:
         raise ValidationError(f"axis spec must be name:lo:hi:count:lin|log, got {text!r}")
     name, lo, hi, count, scale = parts
-    if name not in SWEEPABLE:
+    if name not in params.RATE_KEYS + ("omega",):
         raise ValidationError(f"unknown axis parameter {name!r}")
     try:
         lo, hi = float(lo), float(hi)
@@ -355,14 +359,16 @@ def _preset_coupled(fields):
 
 
 def _sweep_params(base, point, preset_coupling):
-    """Block params for grid points given as axis columns (`omega` is not a field)."""
+    """Block params for grid points given as axis columns (`omega` is not a field),
+    each field broadcast to the columns' shape."""
     swept = {k: v for k, v in point.items() if k != "omega"}
     fields = {k: getattr(base, k) for k in params.RATE_KEYS} | swept
     if preset_coupling:
         p = _preset_coupled(fields)
     else:
         p = (params.SweptJ if "J" in swept else params.NormalizedParams)(**fields)
-    return _block(p, next(iter(point.values())).shape)
+    shape = next(iter(point.values())).shape
+    return p.replace(**{k: np.broadcast_to(getattr(p, k), shape) for k in params.RATE_KEYS})
 
 
 # Sweep flags that set J and delta2p themselves -> the swept axes and flags
@@ -679,18 +685,8 @@ def _dispatch(args):
         columns = [(s.replace("_*", ""), s.replace("*", series), 0) for s in sources]
         rows, schema = tabulate([], lambda point: (base,), columns)
     elif args.subcommand == "oracle":
-        r = lyapunov.oracle_compare(base)
-        if r.residual > lyapunov.RESIDUAL_RTOL:
-            print(
-                f"numeric failure: Lyapunov residual {r.residual:.3e} "
-                f"exceeds target {lyapunov.RESIDUAL_RTOL:.1e}",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERIC
-        row = (r.kappa, r.Omega_m, r.n_formula, r.n_lyapunov, r.rel_dev, r.stable)
-        rows = _columns(*map(np.atleast_1d, row))
-        schema = ["kappa", "Omega_m", "n_f_formula", "n_lyapunov", "rel_dev", "stable"]
-    elif args.subcommand == "sweep":
+        rows, schema = tabulate([], lambda point: (base,), [(h, s, 0) for h, s in ORACLE.items()])
+    else:  # sweep
         axes = [parse_axis(text) for text in (args.axis1, args.axis2) if text]
         if len(axes) == 2 and axes[0].name == axes[1].name:
             raise ValidationError(f"axis {axes[0].name!r} is given twice")
@@ -717,8 +713,6 @@ def _dispatch(args):
                 else "an `omega` axis is read only by the quantity S_ff"
             )
         rows, schema = run_sweep(base, axes, quantities, args.dual, args.preset_coupling)
-    else:
-        raise ValidationError(f"unknown subcommand {args.subcommand!r}")
     emit_csv(rows, schema, args.out)
     return EXIT_OK
 
@@ -727,12 +721,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

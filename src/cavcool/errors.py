@@ -9,5 +9,9 @@ class ConfigError(ValidationError):
     """Malformed config text; the message names the offending token."""
 
 
+class NumericError(RuntimeError):
+    """A numeric result misses its accuracy target: the CLI's exit 3."""
+
+
 class NoCoolingWindow(RuntimeError):
     """No detuning in the scanned range produced a positive net cooling rate."""

@@ -17,6 +17,7 @@ gamma_sc, which is exactly how the recoil rate enters the cooling limit.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ RESIDUAL_RTOL = 1e-10  # relative Lyapunov residual that a solve must meet
 # temporaries of a block's solve at about 0.7 MB.  Stacks of 32 to 256 run
 # equally fast; 1,024 is about 20% slower.
 SOLVE_CHUNK = 64
+Eigen = NamedTuple("Eigen", [("stable", bool), ("max_real_eigenvalue", float)])
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,9 @@ def build_model(p):
 
 
 def eigen_stable(model):
-    """(stable, max real part) from the drift-matrix eigenvalues, per stacked model."""
+    """Eigen(stable, max real part) from the drift-matrix eigenvalues, per stacked model."""
     max_real = np.linalg.eigvals(model.drift).real.max(axis=-1)
-    return unwrap(max_real < 0.0), unwrap(max_real)
+    return Eigen(unwrap(max_real < 0.0), unwrap(max_real))
 
 
 def _norm(m):

@@ -134,7 +134,9 @@ def recoil_heating(radius, epsilon=2.0, wavelength=1.0e-6):
     """Photon-recoil heating rate in units of omega_m, from SI inputs.
 
     gamma_sc / omega_m = (4 pi^2 / 5) * (eps-1)/(eps+2) * V / lambda^3,
-    with V the sphere volume.  Grows with the cube of the radius.
+    with V the sphere volume.  Grows with the cube of the radius.  A radius
+    whose cube overflows, or a wavelength whose cube overflows or is 0, is a
+    ValidationError naming it.
     """
     _require(radius, "radius", "positive")
     _require(wavelength, "wavelength", "positive")
@@ -142,14 +144,23 @@ def recoil_heating(radius, epsilon=2.0, wavelength=1.0e-6):
         raise ValidationError(f"epsilon must be finite, got {epsilon}")
     if not epsilon > 1.0:
         raise ValidationError(f"epsilon must exceed 1, got {epsilon}")
-    volume = (4.0 / 3.0) * math.pi * radius**3
-    return (
-        (4.0 * math.pi**2 / 5.0)
-        * (epsilon - 1.0)
-        / (epsilon + 2.0)
-        * volume
-        / wavelength**3
-    )
+    try:
+        volume = (4.0 / 3.0) * math.pi * radius**3
+    except OverflowError:
+        raise ValidationError(f"radius {radius:g} m is too large: its cube overflows") from None
+    try:
+        return (
+            (4.0 * math.pi**2 / 5.0)
+            * (epsilon - 1.0)
+            / (epsilon + 2.0)
+            * volume
+            / wavelength**3
+        )
+    except OverflowError:
+        message = f"wavelength {wavelength:g} m is too large: its cube overflows"
+        raise ValidationError(message) from None
+    except ZeroDivisionError:
+        raise ValidationError(f"wavelength {wavelength:g} m is too small: its cube is 0") from None
 
 
 def j_sideband_preset(kappa_normalized):

@@ -48,12 +48,12 @@ def column(*cells, dtype=None):
 class TestEmitCsv:
     def test_empty_rows_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        cli.emit_csv(cli._columns(column(dtype=float), column(dtype=float)), ["a", "b"], out)
+        cli.emit_csv(cli._Rows([[column(dtype=float), column(dtype=float)]], 0), ["a", "b"], out)
         assert out.read_text() == "a,b\n"
 
     def test_nan_written_literally(self, tmp_path):
         out = tmp_path / "nan.csv"
-        table = cli._columns(column(math.nan), column("not_cooling", dtype=object))
+        table = cli._Rows([[column(math.nan), column("not_cooling", dtype=object)]], 1)
         cli.emit_csv(table, ["n_f", "flag"], out)
         assert out.read_text().splitlines()[1] == "nan,not_cooling"
 
@@ -61,7 +61,7 @@ class TestEmitCsv:
         rng = np.random.default_rng(2)
         values = list(rng.uniform(-1, 1, 50)) + [1e-300, 1e300, 2.0 / 3.0]
         out = tmp_path / "rt.csv"
-        cli.emit_csv(cli._columns(np.array(values)), ["x"], out)
+        cli.emit_csv(cli._Rows([[np.array(values)]], len(values)), ["x"], out)
         _, rows = read_csv(out)
         for original, row in zip(values, rows):
             assert float(row[0]) == original  # exact, not approx
@@ -92,7 +92,7 @@ class TestEmitCsv:
     def test_other_dtypes_rejected(self, tmp_path, dtype):
         cells = np.zeros(2, dtype=dtype)
         with pytest.raises(cli.ValidationError, match=re.escape(f"dtype {np.dtype(dtype)}") + "$"):
-            cli.emit_csv(cli._columns(cells), ["x"], tmp_path / "d.csv")
+            cli.emit_csv(cli._Rows([[cells]], len(cells)), ["x"], tmp_path / "d.csv")
 
     def test_column_count_checked(self, tmp_path):
         table = cli._Rows([[np.zeros(3), np.zeros(3)], [np.zeros(2)]], 5)
@@ -101,7 +101,7 @@ class TestEmitCsv:
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
-        cli.emit_csv(cli._columns(column(1.0)), ["x"], out)
+        cli.emit_csv(cli._Rows([[column(1.0)]], 1), ["x"], out)
         raw = out.read_bytes()
         assert b"\r" not in raw
 
@@ -211,14 +211,14 @@ def test_emit_csv_row_count_is_data_lines(config_path, tmp_path, monkeypatch, ar
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--axis1", "omega:-1:1:5:lin"],
-    *([name] for name in ("rates", "limit", "stability", "effective")),
+    *([name] for name in ("rates", "limit", "stability", "effective", "oracle")),
     ["sweep", "--axis1", "kappa:10:100:3:log", "--quantity", "n_f,A_minus", "--dual"],
     *(["figure", "--id", fig] for fig in sorted(cli.FIGURE_PRESETS)),
 ], ids=lambda argv: argv[-1] if argv[0] == "figure" else argv[0])
 def test_every_product_goes_through_the_evaluator(config_path, tmp_path, monkeypatch, argv):
-    """Every CSV product but `oracle` takes its values from
-    `evaluate_quantities`: it is called, and the spectrum and rate functions
-    are reached only from inside it."""
+    """Every CSV product takes its values from `evaluate_quantities`: it is
+    called, and the spectrum and rate functions are reached only from
+    inside it."""
     evaluate, state = cli.evaluate_quantities, {"calls": 0, "inside": False}
 
     def counting(*args, **kwargs):
@@ -241,6 +241,57 @@ def test_every_product_goes_through_the_evaluator(config_path, tmp_path, monkeyp
     config = [] if argv[0] == "figure" else ["--config", config_path]
     assert cli.main(argv + config + ["--out", str(tmp_path / "out.csv")]) == 0
     assert state["calls"] > 0
+
+
+def test_oracle_solves_once(config_path, tmp_path, monkeypatch):
+    """One `oracle` run makes one `oracle_compare`, so one cooling limit,
+    one Lyapunov solve and one eigen-decomposition: its `stable` column
+    reads that solve's verdict."""
+    calls = {}
+
+    def count(module, name):
+        fn, calls[name] = getattr(module, name), 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(lyapunov, "oracle_compare")
+    count(cooling, "cooling_limit")
+    count(lyapunov, "solve_steady")
+    count(lyapunov, "eigen_stable")
+    out = tmp_path / "oracle.csv"
+    assert cli.main(["oracle", "--config", config_path, "--out", str(out)]) == 0
+    assert calls == dict.fromkeys(calls, 1)
+    assert read_csv(out)[1][0][-1] == "1"
+
+
+@pytest.mark.parametrize("error, rc", [(RuntimeError, None), (KeyboardInterrupt, None), (OSError, 2)])
+def test_failed_write_keeps_the_old_file(config_path, tmp_path, monkeypatch, error, rc):
+    """A 5,000-point sweep that fails in its second block leaves an
+    existing output file byte-identical, and no partial file beside it."""
+    evaluate, calls = cli.evaluate_quantities, []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error("second block")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_quantities", failing)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"kappa,n_f,flag\n1,2,ok\n")
+    argv = ["sweep", "--config", config_path, "--out", str(out), "--quantity", "n_f",
+            "--axis1", "kappa:1:1000:100:log", "--axis2", "Omega_m:0.1:1:50:lin"]
+    if rc is None:
+        with pytest.raises(error):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == rc
+    assert len(calls) == 2
+    assert out.read_bytes() == b"kappa,n_f,flag\n1,2,ok\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "preset.cfg"]
 
 
 def test_sweep_memory_does_not_grow_with_grid(config_path, tmp_path):
@@ -434,6 +485,12 @@ class TestPointCommands:
             r"numeric failure: Lyapunov residual \d\.\d{3}e-\d\d exceeds target 1\.0e-10\n", err
         )
         assert not out.exists()
+        # Nothing is written at exit 3: an existing file keeps its bytes.
+        out.write_bytes(b"kappa\n1\n")
+        rc = cli.main(["oracle", "--config", str(config), "--out", str(out), "--single-cavity"])
+        assert rc == 3
+        assert out.read_bytes() == b"kappa\n1\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["edge.cfg", "oracle.csv"]
 
 
 class TestSweep:
@@ -619,6 +676,10 @@ class TestSweep:
     @pytest.mark.parametrize("quantity, order", [
         ("n_f,n_lyapunov", ["not_cooling", "ill_conditioned", "unstable"]),
         ("n_lyapunov,n_f", ["ill_conditioned", "unstable", "not_cooling"]),
+        # `stable` reads the solve that n_lyapunov needs, but the solve's
+        # conditions are recorded where n_lyapunov is read.
+        ("stable,n_f,n_lyapunov", ["not_cooling", "ill_conditioned", "unstable"]),
+        ("stable,n_lyapunov,n_f", ["ill_conditioned", "unstable", "not_cooling"]),
     ])
     def test_conditions_come_in_the_order_found(self, config_path, tmp_path, quantity, order):
         # On the golden flag grid some rows are both not cooling and unstable.

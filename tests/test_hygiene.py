@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 at top level that it never uses; every top-level function, class and
-constant of the package is named somewhere outside its own definition;
-and importing the CLI loads nothing but the standard library, numpy and
+constant of the package is named somewhere outside its own definition,
+and every row of the CLI's quantity table is read by some product; and
+importing the CLI loads nothing but the standard library, numpy and
 cavcool, and builds no numpy array.
 
 The first two checks read the sources with the standard library's `ast`
@@ -139,6 +140,24 @@ def test_every_definition_is_referenced():
     package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     referring = {str(path): path.read_text(encoding="utf-8") for path in REFERRERS}
     assert unreferenced_definitions(package, referring) == []
+
+
+def test_every_quantity_row_is_read():
+    """The same rule for the evaluator's tables: every `QUANTITY_TABLE` row
+    is read by a product (a sweep quantity, a point subcommand's source
+    for either series, or an `oracle` source), every intermediate by a
+    row, and every condition is raised by a row."""
+    point = {
+        source.replace("*", series)
+        for sources in cli.POINT_SUBCOMMANDS.values()
+        for source in sources
+        for series in ("single", "coupled")
+    }
+    read = set(cli.QUANTITIES) | point | set(cli.ORACLE.values())
+    assert [name for name in cli.QUANTITY_TABLE if name not in read] == []
+    rows = cli.QUANTITY_TABLE.values()
+    assert set(cli.INTERMEDIATES) == {key for keys, _, _ in rows for key in keys}
+    assert set(cli.CONDITIONS) == {condition for _, _, raised in rows for condition in raised}
 
 
 def test_cli_import_loads_only_stdlib_and_numpy():

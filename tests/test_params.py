@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cavcool import params
+from cavcool import cli, params
 from cavcool.errors import ConfigError, ValidationError
 from cavcool.params import NormalizedParams
 
@@ -272,6 +272,23 @@ class TestConfig:
     def test_bad_physical_value_names_key(self, key, value, message):
         with pytest.raises(ConfigError, match=message):
             params.parse_config(CONFIG_RATES + physical_keys(**{key: value}))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("radius_nm", "1e120", "radius 1e+111 m is too large: its cube overflows"),
+        ("lambda_um", "1e-200", "wavelength 1e-206 m is too small: its cube is 0"),
+        ("lambda_um", "1e110", "wavelength 1e+104 m is too large: its cube overflows"),
+    ])
+    def test_out_of_range_recoil_cube_exits_2(self, tmp_path, capsys, key, value, message):
+        # These values pass their domain check, but the recoil formula's cube does not fit a float.
+        text = CONFIG_RATES + physical_keys(**{key: value})
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            params.parse_config(text)
+        config = tmp_path / "sphere.cfg"
+        config.write_text(text)
+        out = tmp_path / "limit.csv"
+        assert cli.main(["limit", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_si_mode_leaves_derived_gamma_sc_unscaled(self):
         # recoil_heating already returns gamma_sc in units of omega_m.
