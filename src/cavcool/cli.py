@@ -5,7 +5,8 @@ Every subcommand writes an RFC-4180-style CSV (header row, LF endings,
 byte-identical files.  `figure` also writes a gnuplot sidecar naming the CSV,
 and each figure is one `FIGURE_PRESETS` entry.  Every CSV is a `tabulate`
 table (axes, the parameters of each series, columns), evaluated by
-`evaluate_quantities` one block at a time as `emit_csv` writes it.  Exit
+`evaluate_quantities` one block at a time as `emit_csv` writes it; every
+file, CSV or sidecar, is written by `_committed`, whole or not at all.  Exit
 codes: 0 success, 2 validation/usage error, 3 numeric failure: `oracle`'s
 Lyapunov solve missing its residual target, or a failed `selftest` check.
 Non-cooling, unstable or ill-conditioned parameter points are data (flag
@@ -16,6 +17,7 @@ column from the masks.
 
 import argparse
 import contextlib
+import errno
 import functools
 import math
 import os
@@ -73,6 +75,27 @@ def _column_field(cells):
     raise ValidationError(f"cannot write a CSV column of dtype {cells.dtype}")
 
 
+@contextlib.contextmanager
+def _committed(path):
+    """The one way cavcool writes a file: a UTF-8, LF handle on `<path>.part`,
+    which replaces `path` only when the block ends cleanly and is removed
+    however it ends.  A directory `path` is refused before the block runs;
+    an `OSError` is raised again naming `path`.
+    """
+    part = f"{path}.part"
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        with open(part, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(part, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(part)  # nothing is left there once it has replaced `path`
+
+
 def emit_csv(rows, schema, path):
     """Write a `_Rows` table under the header `schema` as CSV with LF endings.
 
@@ -80,53 +103,22 @@ def emit_csv(rows, schema, path):
     bit-exactly; NaN cells are emitted as the literal `nan`, booleans as
     `1`/`0`.  The blocks are read, so evaluated, once and in order after the
     header; each is formatted as it comes, every column by `_column_field`
-    and each row by one `%`-format string.  The file appears whole or not at
-    all: the rows go to the sibling `<path>.part`, which replaces `path` once
-    the last row is written and is removed if anything fails.
+    and each row by one `%`-format string.  The file is written through
+    `_committed`, so it appears whole or not at all.
     """
     if len(set(schema)) != len(schema):
         raise ValidationError(f"duplicate column names in schema {schema}")
-    part = f"{path}.part"
-    try:
-        with open(part, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(schema) + "\n")
-            for columns in rows.blocks:
-                if len(columns) != len(schema):
-                    raise ValidationError(
-                        f"{len(columns)} columns do not match schema width {len(schema)}"
-                    )
-                fields = [_column_field(column) for column in columns]
-                row_format = ",".join(field for field, _ in fields) + "\n"
-                handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
-                del fields  # this block's text is freed before the next block is evaluated
-        os.replace(part, path)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(part)  # nothing is left there once it has replaced `path`
-
-
-def _write_gnuplot(path, csv_path, title, xlabel, ylabel, columns, logy=False, surface=None):
-    lines = [
-        f'# gnuplot script for {title}; data in "{csv_path}"',
-        'set datafile separator ","',
-        "set key autotitle columnhead",
-        f'set xlabel "{xlabel}"',
-        f'set ylabel "{ylabel}"',
-    ]
-    if logy:
-        lines.append("set logscale y")
-    if surface:
-        # long-format (row-major) map: interpolate onto a grid for splot
-        rows, cols = surface
-        lines.append(f"set dgrid3d {rows},{cols}")
-        lines.append(f'splot "{csv_path}" using 2:1:3 with lines')
-    else:
-        plots = ", ".join(f'"{csv_path}" using 1:{idx} with lines' for idx in columns)
-        lines.append(f"plot {plots}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with _committed(path) as handle:
+        handle.write(",".join(schema) + "\n")
+        for columns in rows.blocks:
+            if len(columns) != len(schema):
+                raise ValidationError(
+                    f"{len(columns)} columns do not match schema width {len(schema)}"
+                )
+            fields = [_column_field(column) for column in columns]
+            row_format = ",".join(field for field, _ in fields) + "\n"
+            handle.writelines(row_format % row for row in zip(*(v for _, v in fields)))
+            del fields  # this block's text is freed before the next block is evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +153,8 @@ CONDITIONS = {
     "unstable": lambda result: np.logical_not(result.stable),
 }
 
-# Quantity -> (intermediates, attribute, conditions); see `evaluate_quantities`.  `oracle`'s
-# rows are its own: its occupancy is NaN wherever the formula does not cool.
+# Quantity -> (intermediates, attribute, conditions); see `evaluate_quantities`.  The
+# `oracle.*` rows are `oracle`'s own: its occupancy is NaN wherever the formula does not cool.
 QUANTITY_TABLE = {
     "S_ff": (("spectrum",), None, ()),
     **{q: (("cooling",), q, ("not_cooling",)) for q in ("A_minus", "A_plus", "Gamma_opt")},
@@ -171,10 +163,11 @@ QUANTITY_TABLE = {
     **{q: (("effective",), q, ()) for q in ("eta", "Omega_eff", "kappa_eff", "Delta_eff")},
     "regime_ok": (("effective",), "regime_ok", ()),
     **{f"{a}_{s}": ((s,), a, ()) for s in ("single", "coupled") for a in ("stable", "margin")},
-    "stable": (("oracle", "solve", "eigen"), "stable", ()),
+    "stable": (("solve", "eigen"), "stable", ()),
     "max_real_eig": (("solve", "eigen"), "max_real_eigenvalue", ()),
     "n_lyapunov": (("solve",), "n_phonon", ("ill_conditioned", "unstable")),
-    **{f"oracle.{a}": (("oracle",), a, ()) for a in ("n_formula", "n_lyapunov", "rel_dev")},
+    "oracle.n_f_formula": (("oracle",), "n_formula", ()),
+    **{f"oracle.{a}": (("oracle",), a, ()) for a in ("n_lyapunov", "rel_dev", "stable")},
 }
 # The quantities a sweep may request: every row but `oracle`'s own.
 QUANTITIES = tuple(q for q, (keys, _, _) in QUANTITY_TABLE.items() if keys[-1] != "oracle")
@@ -237,8 +230,8 @@ def tabulate(axes, series, columns):
     """(rows, schema) of `columns` over the grid of `axes`: the one path from
     parameters to a CSV table, for every product.
 
-    `axes` are (name, 1-d grid) pairs; the rows run over their grid with the
-    last axis varying fastest, and with no axes there is one row.
+    `axes` are `Axis` specs, gridded here; the rows run over their grid with
+    the last axis varying fastest, and with no axes there is one row.
     `series(point)` gives the parameters of each series for one block, whose
     axis columns `point` holds by name.  `columns` are (header, source,
     series index) triples.  A source is a quantity or `flag` of that series,
@@ -254,8 +247,8 @@ def tabulate(axes, series, columns):
     evaluated one block of BLOCK_POINTS points at a time, as `emit_csv`
     writes them, each series by one `evaluate_quantities` call.
     """
-    names = [name for name, _ in axes]
-    grids = [grid for _, grid in axes]
+    names = [axis.name for axis in axes]
+    grids = [axis.grid() for axis in axes]
     shape = tuple(len(grid) for grid in grids)
     size = math.prod(shape)
 
@@ -290,20 +283,25 @@ def tabulate(axes, series, columns):
     return _Rows(blocks(), size), [header for header, _, _ in columns]
 
 
-# Subcommands evaluated at the config point -> their column sources (see
-# `tabulate`).  In a quantity `*` is the series, `single` when J = 0 and
-# `coupled` otherwise; the CSV header drops that suffix.
+# Subcommands evaluated at the config point -> (parser help, column sources; see
+# `tabulate`), in the parser's order.  In a source `*` is the series, `single` when
+# J = 0 and `coupled` otherwise; a column's header is its source's last dotted part
+# without `_*`, so `oracle.n_f_formula` heads `n_f_formula` and `stable_*` `stable`.
 POINT_SUBCOMMANDS = {
-    "rates": ("kappa", "delta2p", "A_minus", "A_plus", "Gamma_opt", "flag"),
-    "limit": ("kappa", "delta2p", "A_minus", "A_plus", "Gamma_opt", "n_q", "n_c", "n_f", "flag"),
-    "stability": ("kappa", "kappa3", "J", "delta2p", "eta", "Omega_eff", "kappa_eff", "Delta_eff",
-                  "stable_*", "margin_*"),
-    "effective": ("kappa", "kappa3", "J", "delta2p", "eta", "Omega_eff", "kappa_eff", "Delta_eff",
-                  "regime_ok"),
+    "rates": ("cooling and heating rates at one parameter point",
+              ("kappa", "delta2p", "A_minus", "A_plus", "Gamma_opt", "flag")),
+    "limit": ("steady-state phonon limit at one parameter point",
+              ("kappa", "delta2p", "A_minus", "A_plus", "Gamma_opt", "n_q", "n_c", "n_f", "flag")),
+    "stability": ("closed-form stability verdict",
+                  ("kappa", "kappa3", "J", "delta2p", "eta", "Omega_eff", "kappa_eff",
+                   "Delta_eff", "stable_*", "margin_*")),
+    "effective": ("effective two-mode parameters",
+                  ("kappa", "kappa3", "J", "delta2p", "eta", "Omega_eff", "kappa_eff",
+                   "Delta_eff", "regime_ok")),
+    "oracle": ("perturbative formula vs Lyapunov covariance solve",
+               ("kappa", "Omega_m", "oracle.n_f_formula", "oracle.n_lyapunov", "oracle.rel_dev",
+                "oracle.stable")),
 }
-# `oracle`'s header -> source: the formula against the exact solve at the config point.
-ORACLE = {"kappa": "kappa", "Omega_m": "Omega_m", "n_f_formula": "oracle.n_formula",
-          "n_lyapunov": "oracle.n_lyapunov", "rel_dev": "oracle.rel_dev", "stable": "stable"}
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ def run_sweep(base, axes, quantities, dual, preset_coupling):
     columns = [(axis.name, axis.name, None) for axis in axes]
     columns += [(q + suffix, q, i) for q in quantities for i, suffix in enumerate(suffixes)]
     columns.append(("flag", "flag", None))
-    return tabulate([(axis.name, axis.grid()) for axis in axes], series, columns)
+    return tabulate(axes, series, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +500,38 @@ FIGURE_PRESETS = {
 
 
 def run_figure(preset_id, out_path):
-    """Write the CSV of figure preset `preset_id` and its gnuplot sidecar; returns the sidecar path.
+    """Write the CSV of figure preset `preset_id` and its gnuplot sidecar (`.gp` for `.csv`).
 
-    The preset's `FIGURE_PRESETS` entry is the whole figure: parameter fields, `axes` (gridded
-    only here), and a builder `build` that takes the entry, with its settings, and gives the
-    (series, columns) of `tabulate` and the plot's (x label, y label, log y).  A figure over
-    two axes is a long-format map, plotted as a surface of its axes' sizes.
+    The preset's `FIGURE_PRESETS` entry is the whole figure: parameter fields, `axes`, and a
+    builder `build` that takes the entry, with its settings, and gives the (series, columns) of
+    `tabulate` and the plot's (x label, y label, log y).  A figure over two axes is a long-format
+    map, plotted as a surface of its axes' sizes.  The sidecar is committed before the CSV, so a
+    sidecar that cannot be written leaves the CSV as it was.
     """
     if preset_id not in FIGURE_PRESETS:
         raise ValidationError(f"unknown figure preset {preset_id!r}")
     preset = FIGURE_PRESETS[preset_id]
     axes = preset["axes"]
     series, columns, (xlabel, ylabel, logy) = preset["build"](preset)
-    rows, schema = tabulate([(axis.name, axis.grid()) for axis in axes], series, columns)
+    rows, schema = tabulate(axes, series, columns)
+    lines = [
+        f'# gnuplot script for {preset_id}; data in "{out_path}"',
+        'set datafile separator ","',
+        "set key autotitle columnhead",
+        f'set xlabel "{xlabel}"',
+        f'set ylabel "{ylabel}"',
+    ]
+    if logy:
+        lines.append("set logscale y")
+    if len(axes) == 2:  # long-format (row-major) map: interpolate onto a grid for splot
+        lines += [f"set dgrid3d {axes[0].count},{axes[1].count}",
+                  f'splot "{out_path}" using 2:1:3 with lines']
+    else:
+        values = [i + 1 for i, name in enumerate(schema) if not name.startswith("flag")][1:]
+        lines.append("plot " + ", ".join(f'"{out_path}" using 1:{i} with lines' for i in values))
+    with _committed(str(out_path).removesuffix(".csv") + ".gp") as handle:
+        handle.write("\n".join(lines) + "\n")
     emit_csv(rows, schema, out_path)
-    gp_path = str(out_path).removesuffix(".csv") + ".gp"
-    value_columns = [i + 1 for i, name in enumerate(schema) if not name.startswith("flag")][1:]
-    _write_gnuplot(
-        gp_path, out_path, preset_id, xlabel, ylabel, value_columns,
-        logy=logy, surface=[axis.count for axis in axes] if len(axes) == 2 else None,
-    )
-    return gp_path
 
 
 # ---------------------------------------------------------------------------
@@ -615,27 +624,19 @@ def _build_parser():
             action="store_true",
             help="force J = 0 with delta2p = -kappa/2 (single-cavity optimum)",
         )
+        return sp
 
-    sp = sub.add_parser("spectrum", help="force noise spectrum on a frequency grid")
-    add_common(sp)
+    sp = add_common(sub.add_parser("spectrum", help="force noise spectrum on a frequency grid"))
     sp.add_argument(
         "--axis1",
         default="omega:-3:3:4001:lin",
         help="omega grid as omega:lo:hi:count:lin|log",
     )
 
-    for name, text in (
-        ("rates", "cooling and heating rates at one parameter point"),
-        ("limit", "steady-state phonon limit at one parameter point"),
-        ("stability", "closed-form stability verdict"),
-        ("effective", "effective two-mode parameters"),
-        ("oracle", "perturbative formula vs Lyapunov covariance solve"),
-    ):
-        sp = sub.add_parser(name, help=text)
-        add_common(sp)
+    for name, (text, _) in POINT_SUBCOMMANDS.items():
+        add_common(sub.add_parser(name, help=text))
 
-    sp = sub.add_parser("sweep", help="parameter sweep over one or two axes")
-    add_common(sp)
+    sp = add_common(sub.add_parser("sweep", help="parameter sweep over one or two axes"))
     sp.add_argument("--axis1", required=True, help="axis as name:lo:hi:count:lin|log")
     sp.add_argument("--axis2", default=None, help="optional second axis")
     sp.add_argument("--quantity", required=True, help="comma-separated quantity names")
@@ -678,14 +679,12 @@ def _dispatch(args):
         _check_grid_size("spectrum", [axis])
         # The config point itself, not a block: its omega grid keeps numpy's arithmetic.
         columns = [("omega", "omega", None), ("S", "S_ff", 0)]
-        rows, schema = tabulate([("omega", axis.grid())], lambda point: (base,), columns)
+        rows, schema = tabulate([axis], lambda point: (base,), columns)
     elif args.subcommand in POINT_SUBCOMMANDS:
         series = "single" if base.J == 0.0 else "coupled"
-        sources = POINT_SUBCOMMANDS[args.subcommand]
-        columns = [(s.replace("_*", ""), s.replace("*", series), 0) for s in sources]
+        _, sources = POINT_SUBCOMMANDS[args.subcommand]
+        columns = [(s.split(".")[-1].replace("_*", ""), s.replace("*", series), 0) for s in sources]
         rows, schema = tabulate([], lambda point: (base,), columns)
-    elif args.subcommand == "oracle":
-        rows, schema = tabulate([], lambda point: (base,), [(h, s, 0) for h, s in ORACLE.items()])
     else:  # sweep
         axes = [parse_axis(text) for text in (args.axis1, args.axis2) if text]
         if len(axes) == 2 and axes[0].name == axes[1].name:

@@ -294,6 +294,58 @@ def test_failed_write_keeps_the_old_file(config_path, tmp_path, monkeypatch, err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "preset.cfg"]
 
 
+def test_directory_out_exits_2_before_evaluating(config_path, tmp_path, monkeypatch, capsys):
+    """An `--out` that is a directory is refused before any point is evaluated."""
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluate_quantities called")
+
+    monkeypatch.setattr(cli, "evaluate_quantities", evaluated)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["sweep", "--config", config_path, "--out", str(out), "--quantity", "n_f,n_lyapunov",
+            "--axis1", "kappa:1:1000:200:log", "--axis2", "Omega_m:0.1:1:100:lin"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: [Errno 21] Is a directory: '{out}'\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "preset.cfg"]
+
+
+def test_unwritable_sidecar_keeps_the_old_csv(tmp_path, capsys):
+    """`figure` commits its sidecar before its CSV: a sidecar path that is a
+    directory exits 2 naming it, and an existing CSV keeps its bytes."""
+    (tmp_path / "fig.gp").mkdir()
+    out = tmp_path / "fig.csv"
+    out.write_bytes(b"kappa\n1\n")
+    assert cli.main(["figure", "--id", "fig5b", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and f"{tmp_path / 'fig.gp'}" in err
+    assert out.read_bytes() == b"kappa\n1\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig.csv", "fig.gp"]
+
+
+def test_failed_figure_keeps_the_old_pair(tmp_path, monkeypatch):
+    """fig4b (61 x 121 points, 4 blocks) failing in its second block leaves
+    an existing CSV and sidecar byte-identical, and no partial file."""
+    out = tmp_path / "fig4b.csv"
+    assert cli.main(["figure", "--id", "fig4b", "--out", str(out)]) == 0
+    old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    evaluate, calls = cli.evaluate_quantities, []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_quantities", failing)
+    with pytest.raises(RuntimeError):
+        cli.main(["figure", "--id", "fig4b", "--out", str(out)])
+    assert len(calls) == 2
+    assert sorted(old) == ["fig4b.csv", "fig4b.gp"]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
+
+
 def test_sweep_memory_does_not_grow_with_grid(config_path, tmp_path):
     """A sweep holds one block of its table at a time: the traced peak of a
     40,000-point sweep is at most 1.5 times that of a 4,000-point one."""
@@ -930,6 +982,41 @@ class TestSelftest:
         assert "FAIL  coupled stability bound enlargement  worst=2 " in output
         assert output.count("FAIL") == 1
         assert output.endswith("1 check(s) failed\n")
+
+
+SUBCOMMAND_HELP = {
+    "spectrum": "force noise spectrum on a frequency grid",
+    "rates": "cooling and heating rates at one parameter point",
+    "limit": "steady-state phonon limit at one parameter point",
+    "stability": "closed-form stability verdict",
+    "effective": "effective two-mode parameters",
+    "oracle": "perturbative formula vs Lyapunov covariance solve",
+    "sweep": "parameter sweep over one or two axes",
+    "figure": "figure-preset data set plus gnuplot sidecar",
+    "selftest": "run the built-in invariant suite",
+}
+
+
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    def test_subcommands_in_order_with_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
+        text = help_text([], capsys)
+        assert "{" + ",".join(SUBCOMMAND_HELP) + "}" in text
+        assert re.findall(r"(?m)^    (\S+) +(\S.*)$", text) == list(SUBCOMMAND_HELP.items())
+
+    @pytest.mark.parametrize("name", ["rates", "limit", "stability", "effective", "oracle"])
+    def test_point_subcommand_options(self, capsys, name):
+        text = help_text([name], capsys)
+        assert set(re.findall(r"--[\w-]+", text)) == {
+            "--help", "--config", "--out", "--single-cavity",
+        }
 
 
 class TestExitCodes:

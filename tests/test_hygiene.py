@@ -1,11 +1,12 @@
 """Source hygiene: no module of the package or of the tests imports a name
 at top level that it never uses; every top-level function, class and
 constant of the package is named somewhere outside its own definition,
-and every row of the CLI's quantity table is read by some product; and
-importing the CLI loads nothing but the standard library, numpy and
-cavcool, and builds no numpy array.
+and every row of the CLI's quantity table is read by some product; every
+file the package writes goes through one commit step; and importing the
+CLI loads nothing but the standard library, numpy and cavcool, and builds
+no numpy array.
 
-The first two checks read the sources with the standard library's `ast`
+The source checks read the sources with the standard library's `ast`
 module, so they need no linter.  A name counts as used when it appears
 anywhere in the module as a bare name, which covers attribute access
 (`np.zeros`), calls, decorators and annotations.
@@ -144,20 +145,77 @@ def test_every_definition_is_referenced():
 
 def test_every_quantity_row_is_read():
     """The same rule for the evaluator's tables: every `QUANTITY_TABLE` row
-    is read by a product (a sweep quantity, a point subcommand's source
-    for either series, or an `oracle` source), every intermediate by a
-    row, and every condition is raised by a row."""
+    is read by a product (a sweep quantity, or a point subcommand's source
+    for either series), every intermediate by a row, and every condition is
+    raised by a row."""
     point = {
         source.replace("*", series)
-        for sources in cli.POINT_SUBCOMMANDS.values()
+        for _, sources in cli.POINT_SUBCOMMANDS.values()
         for source in sources
         for series in ("single", "coupled")
     }
-    read = set(cli.QUANTITIES) | point | set(cli.ORACLE.values())
+    read = set(cli.QUANTITIES) | point
     assert [name for name in cli.QUANTITY_TABLE if name not in read] == []
     rows = cli.QUANTITY_TABLE.values()
     assert set(cli.INTERMEDIATES) == {key for keys, _, _ in rows for key in keys}
     assert set(cli.CONDITIONS) == {condition for _, _, raised in rows for condition in raised}
+
+
+def writers(module, source):
+    """`module.function` and call of each write-mode `open` (or `.open`), each
+    `os.replace` or `os.rename`, and each `write_text` or `write_bytes` in
+    `source`, by the top-level function or class it sits in (`module` outside one).
+    An `open` whose mode is not a string constant counts as a write."""
+    found = []
+    for node in ast.parse(source).body:
+        named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        where = f"{module}.{node.name}" if named else module
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                mode = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+                if not mode or (
+                    isinstance(mode[0], ast.Constant) and not set(str(mode[0].value)) & set("wax+")
+                ):
+                    continue
+            elif name in ("replace", "rename"):
+                owner = getattr(func, "value", None)
+                if not (isinstance(owner, ast.Name) and owner.id == "os"):
+                    continue
+                name = f"os.{name}"
+            elif name not in ("write_text", "write_bytes"):
+                continue
+            found.append((where, name))
+    return sorted(found)
+
+
+def test_checker_finds_writers():
+    source = (
+        "import os\n"
+        "def reads(p):\n"
+        "    open(p); open(p, 'rb'); p.open(mode='r'); p.replace('a', 'b')\n"
+        "def writes(p, m):\n"
+        "    open(p, 'w'); p.open(mode='ab'); open(p, m); os.replace(p, p)\n"
+        "class C:\n"
+        "    def save(self, p):\n"
+        "        p.write_text('x'); os.rename(p, p)\n"
+        "open('log', 'r+')\n"
+    )
+    assert writers("m", source) == [
+        ("m", "open"), ("m.C", "os.rename"), ("m.C", "write_text"),
+        ("m.writes", "open"), ("m.writes", "open"), ("m.writes", "open"), ("m.writes", "os.replace"),
+    ]
+
+
+def test_one_writer():
+    """Every file cavcool writes goes through `cli._committed`, which holds
+    the package's one write-mode `open` and one `os.replace`, so each output
+    appears whole or not at all."""
+    found = [w for path in PACKAGE for w in writers(path.stem, path.read_text(encoding="utf-8"))]
+    assert found == [("cli._committed", "open"), ("cli._committed", "os.replace")]
 
 
 def test_cli_import_loads_only_stdlib_and_numpy():
