@@ -75,12 +75,17 @@ def _column_field(cells):
     raise ValidationError(f"cannot write a CSV column of dtype {cells.dtype}")
 
 
+class _WriteError(OSError):
+    """An OSError that names the file `_committed` could not write."""
+
+
 @contextlib.contextmanager
 def _committed(path):
     """The one way cavcool writes a file: a UTF-8, LF handle on `<path>.part`,
     which replaces `path` only when the block ends cleanly and is removed
     however it ends.  A directory `path` is refused before the block runs;
-    an `OSError` is raised again naming `path`.
+    an `OSError` is raised again as a `_WriteError` naming `path`, unless a
+    commit nested in the block has named its own file already.
     """
     part = f"{path}.part"
     try:
@@ -89,8 +94,10 @@ def _committed(path):
         with open(part, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
         os.replace(part, path)
+    except _WriteError:
+        raise
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        raise _WriteError(f"cannot write {path}: {exc}") from exc
     finally:
         with contextlib.suppress(OSError):
             os.remove(part)  # nothing is left there once it has replaced `path`
@@ -176,10 +183,11 @@ QUANTITIES = tuple(q for q, (keys, _, _) in QUANTITY_TABLE.items() if keys[-1] !
 def evaluate_quantities(p, names, omega=None):
     """Evaluate the requested quantities at one parameter point or a block of them.
 
-    A block `p` (fields of one shape, as `omega`, which `S_ff` requires)
-    gives a dict of arrays, a point with float fields Python scalars.
-    Returns (values, conditions): `conditions` maps each condition found, in
-    the order found, to a boolean mask of the points where it holds.
+    A block `p` (fields that broadcast together and with `omega`, which
+    `S_ff` requires) gives a dict of arrays that broadcast to its shape, a
+    point with float fields Python scalars.  Returns (values, conditions):
+    `conditions` maps each condition found, in the order found, to a boolean
+    mask, broadcastable in the same way, of the points where it holds.
 
     A name's `QUANTITY_TABLE` row gives its value: the row's attribute (all
     of it for None) of the first of the row's intermediates that a requested
@@ -233,14 +241,15 @@ def tabulate(axes, series, columns):
     `axes` are `Axis` specs, gridded here; the rows run over their grid with
     the last axis varying fastest, and with no axes there is one row.
     `series(point)` gives the parameters of each series for one block, whose
-    axis columns `point` holds by name.  `columns` are (header, source,
-    series index) triples.  A source is a quantity or `flag` of that series,
-    an axis name, or a parameter field of that series; an `omega` axis is
-    the frequency of `S_ff`.  A series' `flag` is built here, the one place
-    flag text is made: `ok`, overwritten by each of its conditions in order
-    where that condition's mask holds, so a later condition wins.  A `flag`
-    of series None is the first series' flag where that is not `ok`, and
-    the last series' flag elsewhere.
+    axis columns `point` holds by name; its unswept fields may be scalars
+    (see `_swept_series`), as every value and mask is broadcast here.
+    `columns` are (header, source, series index) triples.  A source is a
+    quantity or `flag` of that series, an axis name, or a parameter field of
+    that series; an `omega` axis is the frequency of `S_ff`.  A series' `flag`
+    is built here, the one place flag text is made: `ok`, overwritten by each
+    of its conditions in order where that condition's mask holds, so a later
+    condition wins.  A `flag` of series None is the first series' flag where
+    that is not `ok`, and the last series' flag elsewhere.
 
     Every block's parameters are built once here first, so a point outside
     its field's domain raises before the CSV is opened.  The rows are then
@@ -271,7 +280,7 @@ def tabulate(axes, series, columns):
                 # Object dtype, so rows share the flag strings; a later condition wins.
                 flag = np.full(p.shape, "ok", dtype=object)
                 for condition, mask in conditions.items():
-                    flag[mask] = condition
+                    flag[np.broadcast_to(mask, p.shape)] = condition
                 sources.append({**vars(p), **values, "flag": flag})
             first, last = sources[0]["flag"], sources[-1]["flag"]
             shared = point | {"flag": np.where(first != "ok", first, last)}
@@ -349,24 +358,11 @@ def parse_axis(text):
     return Axis(name, lo, hi, count, scale)
 
 
-def _preset_coupled(fields):
+def _preset_coupled(**fields):
     """NormalizedParams of `fields` with J = sqrt(kappa), delta2p = J^2/(delta3 + 1) per point."""
     fields = dict(fields, J=params.j_sideband_preset(fields["kappa"]), delta2p=0.0)
     p = params.NormalizedParams(**fields)
     return p.replace(delta2p=cooling.closed_form_detuning(p))
-
-
-def _sweep_params(base, point, preset_coupling):
-    """Block params for grid points given as axis columns (`omega` is not a field),
-    each field broadcast to the columns' shape."""
-    swept = {k: v for k, v in point.items() if k != "omega"}
-    fields = {k: getattr(base, k) for k in params.RATE_KEYS} | swept
-    if preset_coupling:
-        p = _preset_coupled(fields)
-    else:
-        p = (params.SweptJ if "J" in swept else params.NormalizedParams)(**fields)
-    shape = next(iter(point.values())).shape
-    return p.replace(**{k: np.broadcast_to(getattr(p, k), shape) for k in params.RATE_KEYS})
 
 
 # Sweep flags that set J and delta2p themselves -> the swept axes and flags
@@ -391,21 +387,39 @@ def _single_cavity(p):
     return p.replace(J=0.0, delta2p=-p.kappa / 2.0)
 
 
+def _swept_series(fields, couple, curves, dual):
+    """`tabulate`'s `series` for `sweep` and the fig5-6 curves: per block, the
+    curve `couple(fields | changes | axis columns)` for each field `changes`
+    of `curves` (`omega` is not a field), and with `dual` the first curve's
+    `_single_cavity` companion.  Unswept fields stay scalars; a series that is
+    one point (an `omega`-only sweep's, or the companion of a J or delta2p
+    sweep) is broadcast to the block, so that `S_ff` keeps its block arithmetic.
+    """
+    def series(point):
+        swept = {k: v for k, v in point.items() if k != "omega"}
+        ps = [couple(**fields | changes | swept) for changes in curves]
+        ps += [_single_cavity(ps[0])] if dual else []
+        shape = next(iter(point.values())).shape
+        return [p.replace(**{k: np.broadcast_to(getattr(p, k), shape) for k in params.RATE_KEYS})
+                if p.shape == () else p for p in ps]
+
+    return series
+
+
 def run_sweep(base, axes, quantities, dual, preset_coupling):
     """(rows, schema) of `quantities` over the grid of `axes`, by `tabulate`.
 
-    Each block of points is `base` with the axis values broadcast over it.
-    With `preset_coupling` each point takes J and delta2p from `_preset_coupled`.
-    With `dual` each point is evaluated for the coupled and the single-cavity
-    series; the row's flag is the coupled one unless that is `ok`.  Grids of
-    more than MAX_SWEEP_POINTS points are rejected before anything is allocated.
+    The series is `base` with the axis values, built by `_swept_series` as the
+    fig5-6 curves are: with `preset_coupling` by `_preset_coupled`, which sets
+    J and delta2p per point, and otherwise as `SweptJ` exactly when J is an axis.  With
+    `dual` each point is evaluated for the coupled and the single-cavity series;
+    the row's flag is the coupled one unless that is `ok`.  Grids of more than
+    MAX_SWEEP_POINTS points are rejected before anything is allocated.
     """
     _check_grid_size("sweep", axes)
-
-    def series(point):
-        p = _sweep_params(base, point, preset_coupling)
-        return (p, _single_cavity(p)) if dual else (p,)
-
+    plain = params.SweptJ if any(axis.name == "J" for axis in axes) else params.NormalizedParams
+    couple = _preset_coupled if preset_coupling else plain
+    series = _swept_series({k: getattr(base, k) for k in params.RATE_KEYS}, couple, ({},), dual)
     suffixes = ("_coupled", "_single") if dual else ("",)
     columns = [(axis.name, axis.name, None) for axis in axes]
     columns += [(q + suffix, q, i) for q in quantities for i, suffix in enumerate(suffixes)]
@@ -447,23 +461,19 @@ def _rate_map(preset):
 def _curves(preset):
     """figs 5-6: n_f and its flag along the one axis, per (label, field changes) of `curves`.
 
-    `couple` turns a curve's fields, with a block of axis values, into its parameters.
-    With `dual` the first curve's `_single_cavity` companion follows as the curve `single`.
+    The series are `_swept_series`', as for a `sweep`, with the preset's `couple`
+    and `dual`; with `dual` the first curve's companion is the curve `single`.
     """
     (axis,) = preset["axes"]
-
-    def series(point):
-        ps = [preset["couple"](_preset_fields(preset, **changes, **{axis.name: point[axis.name]}))
-              for _, changes in preset["curves"]]
-        return ps + [_single_cavity(ps[0])] if preset["dual"] else ps
-
+    changes = [c for _, c in preset["curves"]]
+    series = _swept_series(_preset_fields(preset), preset["couple"], changes, preset["dual"])
     labels = [label for label, _ in preset["curves"]] + (["single"] if preset["dual"] else [])
     columns = [(axis.name, axis.name, None)]
     columns += [(f"{k}_{label}", k, i) for i, label in enumerate(labels) for k in ("n_f", "flag")]
     return series, columns, (f"{axis.name} / omega_m", "n_f", True)
 
 
-def _kappa_j_squared(fields):
+def _kappa_j_squared(**fields):
     """SweptJ parameters of `fields` with kappa = J^2 (fig5a's coupling)."""
     return params.SweptJ(**fields | {"kappa": params.square(fields["J"])})
 
@@ -505,8 +515,9 @@ def run_figure(preset_id, out_path):
     The preset's `FIGURE_PRESETS` entry is the whole figure: parameter fields, `axes`, and a
     builder `build` that takes the entry, with its settings, and gives the (series, columns) of
     `tabulate` and the plot's (x label, y label, log y).  A figure over two axes is a long-format
-    map, plotted as a surface of its axes' sizes.  The sidecar is committed before the CSV, so a
-    sidecar that cannot be written leaves the CSV as it was.
+    map, plotted as a surface of its axes' sizes.  The CSV is written inside the sidecar's commit,
+    so a sidecar that cannot be written, or a CSV that fails part-way, leaves both files as they
+    were; the sidecar replaces its old file right after the CSV does.
     """
     if preset_id not in FIGURE_PRESETS:
         raise ValidationError(f"unknown figure preset {preset_id!r}")
@@ -531,7 +542,7 @@ def run_figure(preset_id, out_path):
         lines.append("plot " + ", ".join(f'"{out_path}" using 1:{i} with lines' for i in values))
     with _committed(str(out_path).removesuffix(".csv") + ".gp") as handle:
         handle.write("\n".join(lines) + "\n")
-    emit_csv(rows, schema, out_path)
+        emit_csv(rows, schema, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -619,19 +630,13 @@ def _build_parser():
     def add_common(sp):
         sp.add_argument("--config", required=True, help="path to key=value config")
         sp.add_argument("--out", required=True, help="output CSV path")
-        sp.add_argument(
-            "--single-cavity",
-            action="store_true",
-            help="force J = 0 with delta2p = -kappa/2 (single-cavity optimum)",
-        )
+        sp.add_argument("--single-cavity", action="store_true",
+                        help="force J = 0 with delta2p = -kappa/2 (single-cavity optimum)")
         return sp
 
     sp = add_common(sub.add_parser("spectrum", help="force noise spectrum on a frequency grid"))
-    sp.add_argument(
-        "--axis1",
-        default="omega:-3:3:4001:lin",
-        help="omega grid as omega:lo:hi:count:lin|log",
-    )
+    sp.add_argument("--axis1", default="omega:-3:3:4001:lin",
+                    help="omega grid as omega:lo:hi:count:lin|log")
 
     for name, (text, _) in POINT_SUBCOMMANDS.items():
         add_common(sub.add_parser(name, help=text))
@@ -640,16 +645,10 @@ def _build_parser():
     sp.add_argument("--axis1", required=True, help="axis as name:lo:hi:count:lin|log")
     sp.add_argument("--axis2", default=None, help="optional second axis")
     sp.add_argument("--quantity", required=True, help="comma-separated quantity names")
-    sp.add_argument(
-        "--dual",
-        action="store_true",
-        help="emit coupled and single-cavity (J=0, delta2p=-kappa/2) series",
-    )
-    sp.add_argument(
-        "--preset-coupling",
-        action="store_true",
-        help="per point, set J = sqrt(kappa) and delta2p = J^2/(delta3+1)",
-    )
+    sp.add_argument("--dual", action="store_true",
+                    help="emit coupled and single-cavity (J=0, delta2p=-kappa/2) series")
+    sp.add_argument("--preset-coupling", action="store_true",
+                    help="per point, set J = sqrt(kappa) and delta2p = J^2/(delta3+1)")
 
     sp = sub.add_parser("figure", help="figure-preset data set plus gnuplot sidecar")
     sp.add_argument("--id", required=True, help=f"one of {', '.join(sorted(FIGURE_PRESETS))}")

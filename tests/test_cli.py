@@ -346,6 +346,34 @@ def test_failed_figure_keeps_the_old_pair(tmp_path, monkeypatch):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
 
 
+@pytest.mark.parametrize("error, rc", [(RuntimeError, None), (OSError, 2)])
+def test_failed_figure_keeps_another_figures_pair(tmp_path, monkeypatch, capsys, error, rc):
+    """fig4b failing in its second block over fig5b's CSV and sidecar keeps
+    both of fig5b's files; an OSError names the CSV once."""
+    out = tmp_path / "fig.csv"
+    assert cli.main(["figure", "--id", "fig5b", "--out", str(out)]) == 0
+    old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    evaluate, calls = cli.evaluate_quantities, []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error("second block")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_quantities", failing)
+    argv = ["figure", "--id", "fig4b", "--out", str(out)]
+    if rc is None:
+        with pytest.raises(error):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == rc
+        assert capsys.readouterr().err == f"error: cannot write {out}: second block\n"
+    assert len(calls) == 2
+    assert sorted(old) == ["fig.csv", "fig.gp"]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
+
+
 def test_sweep_memory_does_not_grow_with_grid(config_path, tmp_path):
     """A sweep holds one block of its table at a time: the traced peak of a
     40,000-point sweep is at most 1.5 times that of a 4,000-point one."""
@@ -677,6 +705,74 @@ class TestSweep:
         assert rc == 2
         assert capsys.readouterr().err == "error: delta2p must be finite\n"
         assert out.read_bytes() == b"kappa,n_f,flag\n1,2,ok\n"
+
+    @pytest.mark.parametrize("preset_coupling, dual, builds", [
+        (False, False, 1), (True, False, 2), (False, True, 2), (True, True, 3),
+    ])
+    def test_parameters_built_once_per_series_and_block(
+        self, config_path, monkeypatch, preset_coupling, dual, builds
+    ):
+        # A block that sweeps fields builds each series' parameters once:
+        # --preset-coupling builds the point and then sets its detuning, and
+        # --dual adds the companion.  Unswept fields stay scalars.
+        init, built = params.NormalizedParams.__init__, []
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "tabulate", lambda axes, series, columns: series)
+        base = params.load_config(config_path)
+        axes = [cli.parse_axis("kappa:1:1000:5:log"), cli.parse_axis("Omega_m:0.1:1:5:lin")]
+        series = cli.run_sweep(base, axes, ("n_f",), dual, preset_coupling)
+        point = {axis.name: axis.grid() for axis in axes}
+        monkeypatch.setattr(params.NormalizedParams, "__init__", counted)
+        ps = series(point)
+        assert len(built) == builds and len(ps) == 1 + dual
+        assert ps[0].kappa is point["kappa"] and ps[0].gamma == base.gamma
+        assert type(ps[0].gamma) is float
+
+    def test_swept_parameter_shapes(self, config_path, monkeypatch):
+        # A J axis gives SweptJ points whose other fields stay scalars, and
+        # a companion that is one point; that and an omega-only sweep's point
+        # are broadcast to the block, so S_ff keeps its block arithmetic.
+        monkeypatch.setattr(cli, "tabulate", lambda axes, series, columns: series)
+        base = params.load_config(config_path)
+        shapes = {}
+        for spec in ("J:0.5:15:5:lin", "omega:-3:3:7:lin"):
+            axis = cli.parse_axis(spec)
+            series = cli.run_sweep(base, [axis], ("n_f",), True, False)
+            coupled, single = series({axis.name: axis.grid()})
+            assert type(single) is type(coupled) and single.shape == coupled.shape
+            fields = {k: np.shape(getattr(coupled, k)) for k in params.RATE_KEYS}
+            shapes[axis.name] = type(coupled), fields
+        assert shapes["J"] == (params.SweptJ, dict.fromkeys(params.RATE_KEYS, ()) | {"J": (5,)})
+        assert shapes["omega"] == (params.NormalizedParams, dict.fromkeys(params.RATE_KEYS, (7,)))
+
+    def test_companion_keeps_block_arithmetic(self, config_path, tmp_path):
+        # Over J and omega the --dual companion is one point: each of its
+        # S_ff cells is that point's scalar evaluation at the row's omega,
+        # not the spectrum arithmetic of a point over an omega grid.
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--config", config_path, "--out", str(out), "--quantity", "S_ff",
+                "--dual", "--axis1", "J:1:10:3:lin", "--axis2", "omega:-3:3:101:lin"]
+        assert cli.main(argv) == 0
+        single = cli._single_cavity(params.load_config(config_path))
+        rows = read_csv(out)[1]
+        assert [float(row[3]) for row in rows] == [response.s_ff(float(row[1]), single)
+                                                   for row in rows]
+
+    def test_unswept_quantity_flags_broadcast(self, config_path, tmp_path):
+        # n_th enters n_f but not the rates, whose not_cooling mask is then
+        # one value for the block; each row is the point's own evaluation.
+        out = tmp_path / "n_th.csv"
+        argv = ["sweep", "--config", config_path, "--out", str(out), "--quantity", "Gamma_opt,n_f"]
+        assert cli.main(argv + ["--axis1", "n_th:0:5:3:lin"]) == 0
+        base = params.load_config(config_path)
+        for row, n_th in zip(read_csv(out)[1], (0.0, 2.5, 5.0)):
+            report = cooling.cooling_limit(base.replace(n_th=n_th))
+            assert [float(cell) for cell in row[:3]] == [n_th, report.Gamma_opt, report.n_f]
+            assert row[3] == "ok"
 
     def test_one_effective_params_per_series_and_block(self, config_path, tmp_path, monkeypatch):
         # eta and the coupled verdict share one effective_params per series.

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import fig5_coupled
 
 from cavcool import cooling, invariants, lyapunov, response
@@ -210,6 +211,43 @@ class TestSolveSteady:
         report = cooling.cooling_limit(p)
         n_rate = (report.A_plus + p.gamma_sc) / (report.Gamma_opt + p.gamma)
         assert result.n_phonon == pytest.approx(n_rate, rel=0.02)
+
+
+class TestIllConditionedFlag:
+    """What the `ill_conditioned` flag has to mean, against scipy's Bartels-Stewart solver.
+
+    Two points that the residual flags today.  At the first the solve is
+    backward stable to 1e-17 and its occupancy is still 1e-5 off, so the flag
+    must bound the occupancy's forward error, not the solve's backward error.
+    At the second the occupancy is accurate, so flagging it is the fault of
+    the residual's normalisation (ROADMAP item 1).
+    """
+
+    @staticmethod
+    def solve(p):
+        """(model, result, occupancy of the unmasked V, occupancy of scipy's V)."""
+        model = lyapunov.build_model(p)
+        result = lyapunov.solve_steady(model)
+        reference = scipy.linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
+        n, n_ref = ((v[4, 4] + v[5, 5] - 1.0) / 2.0 for v in (result.V, reference))
+        return model, result, n, n_ref
+
+    def test_edge_point_stays_flagged(self):
+        # The single-cavity point of the CLI's ill-conditioned sweep test,
+        # on the edge Omega_m^2 = kappa/4.
+        model, result, n, n_ref = self.solve(make_params(delta2p=-50.0, J=0.0, Omega_m=5.0))
+        a, d, v = model.drift, model.diffusion, result.V
+        norm = np.linalg.norm
+        backward = norm(a @ v + v @ a.T + d) / (2.0 * norm(a) * norm(v) + norm(d))
+        assert backward < 1e-16
+        assert abs(n - n_ref) / n_ref > 1e-6
+        assert result.residual > lyapunov.RESIDUAL_RTOL and math.isnan(result.n_phonon)
+
+    def test_accurate_point_matches_scipy(self):
+        p = make_params(delta2p=0.0, delta3=0.0, kappa=1.0, kappa3=1.0, J=0.0, Omega_m=1.0,
+                        gamma=1e-6)
+        _, _, n, n_ref = self.solve(p)
+        assert abs(n - n_ref) / n_ref < 1e-10
 
 
 class TestOracleCompare:
