@@ -133,9 +133,9 @@ def emit_csv(rows, schema, path):
 # ---------------------------------------------------------------------------
 
 def _oracle(p, *_):
-    """`lyapunov.oracle_compare(p)`; a solve that misses RESIDUAL_RTOL raises NumericError."""
+    """`lyapunov.oracle_compare(p)`; an `ill_conditioned` solve raises NumericError."""
     r, tol = lyapunov.oracle_compare(p), lyapunov.RESIDUAL_RTOL
-    if np.any(r.residual > tol):
+    if np.any(lyapunov.ill_conditioned(r.residual)):
         raise NumericError(f"Lyapunov residual {np.nanmax(r.residual):.3e} exceeds target {tol:.1e}")
     return r
 
@@ -156,7 +156,7 @@ INTERMEDIATES = {
 # Condition -> its mask, from the intermediate of the quantity that raises it.
 CONDITIONS = {
     "not_cooling": lambda report: np.logical_not(report.cooling),
-    "ill_conditioned": lambda result: np.asarray(result.residual) > lyapunov.RESIDUAL_RTOL,
+    "ill_conditioned": lambda result: lyapunov.ill_conditioned(result.residual),
     "unstable": lambda result: np.logical_not(result.stable),
 }
 
@@ -184,10 +184,10 @@ def evaluate_quantities(p, names, omega=None):
     """Evaluate the requested quantities at one parameter point or a block of them.
 
     A block `p` (fields that broadcast together and with `omega`, which
-    `S_ff` requires) gives a dict of arrays that broadcast to its shape, a
-    point with float fields Python scalars.  Returns (values, conditions):
-    `conditions` maps each condition found, in the order found, to a boolean
-    mask, broadcastable in the same way, of the points where it holds.
+    `S_ff` requires) gives a dict of values shaped as the fields each reads,
+    () or `p.shape`; a point with float fields gives Python scalars.  Returns
+    (values, conditions): `conditions` maps each condition found, in the order
+    found, to a boolean mask, shaped in the same way, of the points where it holds.
 
     A name's `QUANTITY_TABLE` row gives its value: the row's attribute (all
     of it for None) of the first of the row's intermediates that a requested
@@ -241,8 +241,9 @@ def tabulate(axes, series, columns):
     `axes` are `Axis` specs, gridded here; the rows run over their grid with
     the last axis varying fastest, and with no axes there is one row.
     `series(point)` gives the parameters of each series for one block, whose
-    axis columns `point` holds by name; its unswept fields may be scalars
-    (see `_swept_series`), as every value and mask is broadcast here.
+    axis columns `point` holds by name; a series may be one point, or keep
+    unswept fields scalar (see `_swept_series`).  Values meet the block only
+    here: each flag indexes its masks directly, and each column is broadcast.
     `columns` are (header, source, series index) triples.  A source is a
     quantity or `flag` of that series, an axis name, or a parameter field of
     that series; an `omega` axis is the frequency of `S_ff`.  A series' `flag`
@@ -280,7 +281,7 @@ def tabulate(axes, series, columns):
                 # Object dtype, so rows share the flag strings; a later condition wins.
                 flag = np.full(p.shape, "ok", dtype=object)
                 for condition, mask in conditions.items():
-                    flag[np.broadcast_to(mask, p.shape)] = condition
+                    flag[mask] = condition
                 sources.append({**vars(p), **values, "flag": flag})
             first, last = sources[0]["flag"], sources[-1]["flag"]
             shared = point | {"flag": np.where(first != "ok", first, last)}
@@ -391,17 +392,18 @@ def _swept_series(fields, couple, curves, dual):
     """`tabulate`'s `series` for `sweep` and the fig5-6 curves: per block, the
     curve `couple(fields | changes | axis columns)` for each field `changes`
     of `curves` (`omega` is not a field), and with `dual` the first curve's
-    `_single_cavity` companion.  Unswept fields stay scalars; a series that is
-    one point (an `omega`-only sweep's, or the companion of a J or delta2p
-    sweep) is broadcast to the block, so that `S_ff` keeps its block arithmetic.
+    `_single_cavity` companion.  Unswept fields stay scalars, and a series
+    that is one point (the companion of a J or delta2p sweep) stays a point,
+    evaluated once per block.  Only over an `omega` axis is a one-point series
+    broadcast to the block, so that `S_ff` keeps its block arithmetic.
     """
     def series(point):
         swept = {k: v for k, v in point.items() if k != "omega"}
         ps = [couple(**fields | changes | swept) for changes in curves]
         ps += [_single_cavity(ps[0])] if dual else []
-        shape = next(iter(point.values())).shape
+        shape = np.shape(point.get("omega"))  # () unless an omega axis is swept
         return [p.replace(**{k: np.broadcast_to(getattr(p, k), shape) for k in params.RATE_KEYS})
-                if p.shape == () else p for p in ps]
+                if shape and not p.shape else p for p in ps]
 
     return series
 

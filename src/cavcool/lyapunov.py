@@ -51,31 +51,20 @@ class CovarianceResult:
 def build_model(p):
     """Drift and diffusion matrices for NormalizedParams p (J, Omega_m real >= 0).
 
-    A block of points gives stacked matrices of shape p.shape + (6, 6).
+    Each nonzero entry is broadcast into zeros of shape p.shape + (6, 6).
     """
-    k2 = p.kappa / 2.0
-    k3 = p.kappa3 / 2.0
-    g2 = p.gamma / 2.0
-    d2, d3 = p.delta2p, p.delta3
-    om = 2.0 * p.Omega_m
-    rows = (
-        (-k2, -d2, 0.0, p.J, 0.0, 0.0),
-        (d2, -k2, -p.J, 0.0, om, 0.0),
-        (0.0, p.J, -k3, -d3, 0.0, 0.0),
-        (-p.J, 0.0, d3, -k3, 0.0, 0.0),
-        (0.0, 0.0, 0.0, 0.0, -g2, OMEGA_M),
-        (om, 0.0, 0.0, 0.0, -OMEGA_M, -g2),
-    )
-    entries = np.broadcast_arrays(*(np.asarray(x, dtype=float) for row in rows for x in row))
-    drift = np.stack(entries, axis=-1).reshape(entries[0].shape + (6, 6))
-    if drift.shape != p.shape + (6, 6):
-        # The block's shape comes from fields that the drift does not use.
-        drift = np.broadcast_to(drift, p.shape + (6, 6)).copy()
+    k2, k3, g2 = p.kappa / 2.0, p.kappa3 / 2.0, p.gamma / 2.0
+    d2, d3, om = p.delta2p, p.delta3, 2.0 * p.Omega_m
     d_mech = p.gamma * (2.0 * p.n_th + 1.0) / 2.0 + p.gamma_sc
-    diffusion = np.zeros(p.shape + (6, 6))
-    diagonal = np.arange(6)
-    entries = np.broadcast_arrays(k2, k2, k3, k3, d_mech, d_mech)
-    diffusion[..., diagonal, diagonal] = np.stack(entries, axis=-1)
+    drift, diffusion = np.zeros(p.shape + (6, 6)), np.zeros(p.shape + (6, 6))
+    for (i, j), x in {
+        (0, 0): -k2, (0, 1): -d2, (0, 3): p.J, (1, 0): d2, (1, 1): -k2, (1, 2): -p.J, (1, 4): om,
+        (2, 1): p.J, (2, 2): -k3, (2, 3): -d3, (3, 0): -p.J, (3, 2): d3, (3, 3): -k3,
+        (4, 4): -g2, (4, 5): OMEGA_M, (5, 0): om, (5, 4): -OMEGA_M, (5, 5): -g2,
+    }.items():
+        drift[..., i, j] = x
+    for i, x in enumerate((k2, k2, k3, k3, d_mech, d_mech)):
+        diffusion[..., i, i] = x
     return LinearModel(drift=drift, diffusion=diffusion)
 
 
@@ -118,6 +107,11 @@ def _half_vectorization():
 _FIRST, _SECOND, _FULL, _UPPER = _half_vectorization()
 
 
+def ill_conditioned(residual):
+    """Where a solve misses its target: a relative residual above RESIDUAL_RTOL (not NaN)."""
+    return np.greater(residual, RESIDUAL_RTOL)
+
+
 def solve_steady(model):
     """Steady covariance from A V + V A^T + D = 0, solved for symmetric V.
 
@@ -126,10 +120,10 @@ def solve_steady(model):
     system is both simple and effectively exact, and V filled from its
     solution is exactly symmetric.  An unstable point (a drift eigenvalue
     with nonnegative real part) has NaN covariance, occupancy and residual,
-    and an ill-conditioned one (residual > RESIDUAL_RTOL) a NaN occupancy;
-    nothing raises.  A single model gives the fields of a one-point stack as
-    Python scalars.  Stacks are solved SOLVE_CHUNK systems at a time; each
-    point gets the bits of its own solve.
+    and an `ill_conditioned` one a NaN occupancy; nothing raises.  A single
+    model gives the fields of a one-point stack as Python scalars.  Stacks
+    are solved SOLVE_CHUNK systems at a time; each point gets the bits of its
+    own solve.
     """
     stable, max_real = eigen_stable(model)
     shape = np.shape(stable)
@@ -148,7 +142,7 @@ def solve_steady(model):
         v[idx] = vi
         residual[idx] = _norm(ai @ vi + vi @ ai.swapaxes(-1, -2) + di) / _norm(di)
     n_phonon = (v[:, 4, 4] + v[:, 5, 5] - 1.0) / 2.0
-    n_phonon[residual > RESIDUAL_RTOL] = np.nan
+    n_phonon[ill_conditioned(residual)] = np.nan
     return CovarianceResult(
         V=v.reshape(shape + (6, 6)),
         n_phonon=unwrap(n_phonon.reshape(shape)),

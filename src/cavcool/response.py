@@ -29,6 +29,8 @@ import numpy as np
 from .params import SweptJ, square, unwrap
 
 OMEGA_M = 1.0  # mechanical frequency in normalized units
+# The parameter fields that the responses, the spectrum and the self-energy read.
+SPECTRUM_FIELDS = ("delta2p", "delta3", "kappa", "kappa3", "J", "Omega_m")
 
 
 def _reciprocal(z):
@@ -100,9 +102,10 @@ def _responses(omega, p, arithmetic):
 
 
 def _pair(omega, p):
-    """omega and -omega stacked on a new leading axis, against which p's fields broadcast."""
+    """omega and -omega stacked on a new leading axis, against which p's fields
+    broadcast: omega is padded to the rank of p's `SPECTRUM_FIELDS`, not of p."""
     omega = np.asarray(omega)
-    pad = (1,) * (len(p.shape) - omega.ndim)
+    pad = (1,) * (max(getattr(getattr(p, k), "ndim", 0) for k in SPECTRUM_FIELDS) - omega.ndim)
     return np.stack((omega, -omega)).reshape((2,) + pad + omega.shape)
 
 

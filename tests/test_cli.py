@@ -734,20 +734,23 @@ class TestSweep:
 
     def test_swept_parameter_shapes(self, config_path, monkeypatch):
         # A J axis gives SweptJ points whose other fields stay scalars, and
-        # a companion that is one point; that and an omega-only sweep's point
-        # are broadcast to the block, so S_ff keeps its block arithmetic.
+        # a companion that is one point, evaluated once.  Only over an omega
+        # axis is a one-point series broadcast to the block, so S_ff keeps its
+        # block arithmetic.
         monkeypatch.setattr(cli, "tabulate", lambda axes, series, columns: series)
         base = params.load_config(config_path)
         shapes = {}
         for spec in ("J:0.5:15:5:lin", "omega:-3:3:7:lin"):
             axis = cli.parse_axis(spec)
             series = cli.run_sweep(base, [axis], ("n_f",), True, False)
-            coupled, single = series({axis.name: axis.grid()})
-            assert type(single) is type(coupled) and single.shape == coupled.shape
-            fields = {k: np.shape(getattr(coupled, k)) for k in params.RATE_KEYS}
-            shapes[axis.name] = type(coupled), fields
-        assert shapes["J"] == (params.SweptJ, dict.fromkeys(params.RATE_KEYS, ()) | {"J": (5,)})
-        assert shapes["omega"] == (params.NormalizedParams, dict.fromkeys(params.RATE_KEYS, (7,)))
+            shapes[axis.name] = [
+                (type(p), {k: np.shape(getattr(p, k)) for k in params.RATE_KEYS})
+                for p in series({axis.name: axis.grid()})
+            ]
+        scalars = dict.fromkeys(params.RATE_KEYS, ())
+        assert shapes["J"] == [(params.SweptJ, scalars | {"J": (5,)}), (params.SweptJ, scalars)]
+        block = (params.NormalizedParams, dict.fromkeys(params.RATE_KEYS, (7,)))
+        assert shapes["omega"] == [block, block]
 
     def test_companion_keeps_block_arithmetic(self, config_path, tmp_path):
         # Over J and omega the --dual companion is one point: each of its
@@ -773,6 +776,48 @@ class TestSweep:
             report = cooling.cooling_limit(base.replace(n_th=n_th))
             assert [float(cell) for cell in row[:3]] == [n_th, report.Gamma_opt, report.n_f]
             assert row[3] == "ok"
+
+    @pytest.mark.parametrize("axis", ["J:0.05:15:5:lin", "delta2p:-300:300:5:lin"])
+    def test_dual_companion_is_evaluated_as_one_point(self, config_path, tmp_path, monkeypatch,
+                                                      axis):
+        # Over a J or delta2p axis the --dual companion is one point: each
+        # block evaluates it once, as a point, and each of its cells is that
+        # point's own evaluation.
+        evaluate, shapes = cli.evaluate_quantities, []
+
+        def recorded(p, names, omega=None):
+            shapes.append(p.shape)
+            return evaluate(p, names, omega)
+
+        monkeypatch.setattr(cli, "evaluate_quantities", recorded)
+        monkeypatch.setattr(cli, "BLOCK_POINTS", 2)
+        quantities = [q for q in cli.QUANTITIES if q != "S_ff"]
+        out = tmp_path / "dual.csv"
+        argv = ["sweep", "--config", config_path, "--out", str(out), "--axis1", axis,
+                "--quantity", ",".join(quantities), "--dual"]
+        assert cli.main(argv) == 0
+        assert shapes == [(2,), (), (2,), (), (1,), ()]
+        header, rows = read_csv(out)
+        values, _ = evaluate(cli._single_cavity(params.load_config(config_path)), quantities)
+        for q in quantities:
+            cell = ("%d" if type(values[q]) is bool else "%.17g") % values[q]
+            assert [row[header.index(q + "_single")] for row in rows] == [cell] * 5, q
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(keys=st.sets(st.sampled_from(params.RATE_KEYS), min_size=1),
+           size=st.integers(1, 4), data=st.data())
+    def test_values_and_masks_take_the_shape_of_the_fields_read(self, keys, size, data):
+        # A block that sweeps only some fields gives each value and mask the
+        # shape of the fields it reads: () where those are scalars, else the
+        # block's, never a padded (1,).
+        base = params.parse_config(CONFIG)
+        factors = st.lists(st.floats(0.5, 2.0), min_size=size, max_size=size)
+        p = base.replace(**{k: getattr(base, k) * np.array(data.draw(factors)) for k in keys})
+        values, conditions = cli.evaluate_quantities(
+            p, [q for q in cli.QUANTITIES if q != "S_ff"]
+        )
+        for name, value in (values | conditions).items():
+            assert np.shape(value) in ((), (size,)), name
 
     def test_one_effective_params_per_series_and_block(self, config_path, tmp_path, monkeypatch):
         # eta and the coupled verdict share one effective_params per series.
