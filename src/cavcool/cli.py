@@ -693,11 +693,13 @@ def _dispatch(args):
         quantities = tuple(q.strip() for q in args.quantity.split(",") if q.strip())
         if not quantities:
             raise ValidationError("--quantity must name at least one quantity")
-        for q in quantities:
+        for i, q in enumerate(quantities):
             if q not in QUANTITIES:
                 raise ValidationError(
                     f"unknown quantity {q!r}; choose from {', '.join(QUANTITIES)}"
                 )
+            if q in quantities[:i]:
+                raise ValidationError(f"quantity {q!r} is given twice")
         given = {axis.name for axis in axes}
         given.update(f for f in SWEEP_FLAG_CONFLICTS if getattr(args, f[2:].replace("-", "_")))
         for flag, conflicts in SWEEP_FLAG_CONFLICTS.items():

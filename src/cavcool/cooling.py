@@ -78,28 +78,25 @@ def closed_form_detuning(p):
         return unwrap(square(p.J) / (p.delta3 + OMEGA_M))
 
 
-def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=2001, tol=1e-6):
-    """Optimum cooling detuning delta2p.
+SCAN_SPAN = 3.0
+SCAN_POINTS = 2001
+SCAN_TOL = 1e-6
 
-    mode="closed_form" returns J^2/(delta3 + omega_m).  mode="numeric" scans
-    delta2p over [-span*kappa, +span*kappa] as one block of `points` points
-    and refines by block re-scan: the bracket between the best point's grid
-    neighbours is evaluated again as one block of 65 points (a block costs
-    about as much as one point) until it is at most `tol` wide, or no longer
-    shrinks at float spacing.  The best point evaluated is returned, so the
-    result is never worse than any point the search has seen.  The objective
-    is the phonon limit n_f (minimized) or "net_rate" (Gamma_opt maximized).
-    Raises NoCoolingWindow when no scanned detuning cools at all (n_f
-    objective).
+
+def optimal_detuning(p, mode="numeric", objective="n_f"):
+    """Numeric optimum cooling detuning delta2p.
+
+    Scans delta2p over +-SCAN_SPAN*kappa as one block of SCAN_POINTS points,
+    then re-scans the bracket between the best point's grid neighbours as one
+    block of 65 points (a block costs about as much as one point) until it is
+    at most SCAN_TOL wide, or stops shrinking at float spacing.  Returns the
+    best point evaluated.  The objective is the phonon limit n_f (minimized)
+    or "net_rate" (Gamma_opt maximized).  `mode` must be "numeric"; the closed
+    form is `closed_form_detuning`.  Raises NoCoolingWindow when no scanned
+    detuning cools at all (n_f objective).
     """
-    if not (np.isfinite(tol) and tol > 0.0 and np.isfinite(span) and span > 0.0):
-        raise ValueError(f"tol and span must be finite and > 0, got tol={tol!r}, span={span!r}")
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 3:
-        raise ValueError(f"points must be an integer >= 3, got {points!r}")
-    if mode == "closed_form":
-        return closed_form_detuning(p)
     if mode != "numeric":
-        raise ValueError(f"mode must be 'closed_form' or 'numeric', got {mode!r}")
+        raise ValueError(f"mode must be 'numeric' (closed form: closed_form_detuning), got {mode!r}")
     costs = {
         "n_f": lambda delta: cooling_limit(p.replace(delta2p=delta)).n_f,
         "net_rate": lambda delta: -net_rate(p.replace(delta2p=delta)),
@@ -107,7 +104,7 @@ def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=20
     if objective not in costs:
         raise ValueError(f"objective must be 'n_f' or 'net_rate', got {objective!r}")
 
-    grid = np.linspace(-span * p.kappa, span * p.kappa, points)
+    grid = np.linspace(-SCAN_SPAN * p.kappa, SCAN_SPAN * p.kappa, SCAN_POINTS)
     values = costs[objective](grid)
     if objective == "n_f" and not np.any(np.isfinite(values)):
         raise NoCoolingWindow(
@@ -121,7 +118,7 @@ def optimal_detuning(p, mode="closed_form", objective="n_f", span=3.0, points=20
         if values[i] <= best_value:
             best, best_value = float(grid[i]), values[i]
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        if not tol < hi - lo < width:
+        if not SCAN_TOL < hi - lo < width:
             return best
         width = hi - lo
         grid = np.linspace(lo, hi, 65)

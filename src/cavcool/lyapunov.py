@@ -161,12 +161,11 @@ class OracleReport:
     n_rate restores it: (A_plus + gamma_sc + gamma n_th) / (Gamma_opt +
     gamma).  rel_dev compares the Lyapunov occupancy against n_rate, so it
     isolates the perturbative error instead of the known missing-gamma term;
-    rel_dev_formula is the deviation from the bare formula.  For a block of
-    points the comparison fields are arrays.
+    rel_dev_formula is the deviation from the bare formula.  It holds
+    results only; the point's fields are read from `p`.  For a block of
+    points every field is an array.
     """
 
-    kappa: float
-    Omega_m: float
     n_formula: float
     n_rate: float
     n_lyapunov: float
@@ -195,8 +194,6 @@ def oracle_compare(p):
     )
     scale = np.where(n_ly != 0.0, np.abs(n_ly), 1.0)
     return OracleReport(
-        kappa=p.kappa,
-        Omega_m=p.Omega_m,
         n_formula=unwrap(n_formula),
         n_rate=unwrap(n_rate),
         n_lyapunov=unwrap(n_ly),

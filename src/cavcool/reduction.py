@@ -78,13 +78,15 @@ def stability_single(p):
     (4 delta2p^2 + kappa^2) omega_m] < 0; its margin is normalized by
     kappa^2 omega_m so sweeps are comparable across kappa scales.  At the
     single-cavity optimum delta2p = -kappa/2 it reduces to
-    Omega_m^2 < kappa omega_m / 4.
+    Omega_m^2 < kappa omega_m / 4.  Overflow, or a kappa^2 of 0, gives an
+    infinite margin without a warning; 0/0 still warns.
     """
     delta, kappa = p.delta2p, p.kappa
-    lhs = delta * (
-        16.0 * delta * square(p.Omega_m) + (4.0 * square(delta) + square(kappa)) * OMEGA_M
-    )
-    margin = -lhs / (square(kappa) * OMEGA_M)
+    with np.errstate(over="ignore", divide="ignore"):
+        lhs = delta * (
+            16.0 * delta * square(p.Omega_m) + (4.0 * square(delta) + square(kappa)) * OMEGA_M
+        )
+        margin = -lhs / (square(kappa) * OMEGA_M)
     return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin))
 
 

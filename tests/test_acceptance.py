@@ -161,13 +161,11 @@ class TestCriterion3:
 class TestCriterion4:
     def test_blue_detuned_optimum(self):
         """argmax_delta2p Gamma_opt strictly positive for coupled cavities,
-        strictly negative for the single cavity (search tolerance 1e-3)."""
+        strictly negative for the single cavity."""
         p = fig5_coupled(100.0)
-        best_coupled = cooling.optimal_detuning(
-            p, mode="numeric", objective="net_rate", tol=1e-3
-        )
+        best_coupled = cooling.optimal_detuning(p, mode="numeric", objective="net_rate")
         best_single = cooling.optimal_detuning(
-            p.replace(J=0.0), mode="numeric", objective="net_rate", tol=1e-3
+            p.replace(J=0.0), mode="numeric", objective="net_rate"
         )
         assert best_coupled > 1e-3, f"coupled optimum {best_coupled}"
         assert best_single < -1e-3, f"single optimum {best_single}"

@@ -521,6 +521,24 @@ class TestPointCommands:
         assert verdict.margin == pytest.approx(146.04, rel=1e-12)
         assert (row["stable"], row["margin"]) == ("1", "%.17g" % verdict.margin)
 
+    @pytest.mark.parametrize("delta2p, stable, margin", [
+        ("1e120", "0", "-inf"), ("-1e120", "1", "inf"),
+    ])
+    def test_stability_single_overflow_is_silent(self, tmp_path, delta2p, stable, margin):
+        # The inequality overflows to an infinite margin of its own sign.
+        config = tmp_path / "far.cfg"
+        config.write_text(
+            CONFIG.replace("delta2p = 66.666666666666667", f"delta2p = {delta2p}")
+            .replace("J = 10", "J = 0")
+        )
+        out = tmp_path / "stab.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["stability", "--config", str(config), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["stable"], row["margin"]) == (stable, margin)
+
     def test_effective_row(self, config_path, tmp_path):
         out = tmp_path / "eff.csv"
         assert cli.main(["effective", "--config", config_path, "--out", str(out)]) == 0
@@ -660,6 +678,8 @@ class TestSweep:
                      f"--single-cavity {REFUSED} the swept axis 'delta2p'", id="delta2p-single"),
         pytest.param(["--axis1", "kappa:10:100:3:log", "--axis2", "kappa:1:10:3:log"],
                      "axis 'kappa' is given twice", id="duplicate-axis"),
+        pytest.param(["--axis1", "kappa:10:100:3:log", "--quantity", "n_f,n_f"],
+                     "quantity 'n_f' is given twice", id="duplicate-quantity"),
         pytest.param(["--axis1", "omega:-3:3:4:lin", "--quantity", "n_f,Gamma_opt"],
                      "an `omega` axis is read only by the quantity S_ff", id="omega-without-S_ff"),
         pytest.param(["--axis1", "kappa:10:100:3:log", "--quantity", "S_ff"],

@@ -182,7 +182,9 @@ class TestCoolingLimit:
 class TestOptimalDetuning:
     def test_closed_form(self):
         p = fig5_coupled(100.0)
-        assert cooling.optimal_detuning(p) == pytest.approx(100.0 / 1.5, rel=1e-12)
+        assert cooling.closed_form_detuning(p) == pytest.approx(100.0 / 1.5, rel=1e-12)
+        with pytest.raises(ValueError, match="closed_form_detuning"):
+            cooling.optimal_detuning(p, mode="closed_form")
 
     def test_single_cavity_numeric_optimum_is_red(self):
         p = fig5_single(100.0)
@@ -200,7 +202,7 @@ class TestOptimalDetuning:
     def test_numeric_near_closed_form_on_fig5_preset(self):
         p = fig5_coupled(100.0)
         numeric = cooling.optimal_detuning(p, mode="numeric")
-        closed = cooling.optimal_detuning(p, mode="closed_form")
+        closed = cooling.closed_form_detuning(p)
         assert abs(numeric - closed) / closed < 0.20
 
     def test_no_cooling_window_without_coupling(self):
@@ -210,7 +212,7 @@ class TestOptimalDetuning:
 
     def test_rate_objective_argmax(self):
         p = fig5_coupled(100.0)
-        best = cooling.optimal_detuning(p, mode="numeric", objective="net_rate", tol=1e-3)
+        best = cooling.optimal_detuning(p, mode="numeric", objective="net_rate")
         gamma_best = cooling.net_rate(p.replace(delta2p=best))
         for probe in (best - 0.5, best + 0.5):
             assert cooling.net_rate(p.replace(delta2p=probe)) <= gamma_best + 1e-15
@@ -219,28 +221,26 @@ class TestOptimalDetuning:
         with pytest.raises(ValueError):
             cooling.optimal_detuning(fig5_coupled(100.0), mode="magic")
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"tol": 0.0},
-            {"tol": -1.0},
-            {"tol": float("nan")},
-            {"points": 1},
-            {"points": 2},
-            {"points": 2001.0},
-            {"span": 0.0},
-            {"span": -1.0},
-            {"span": float("inf")},
-        ],
-    )
-    def test_bad_arguments_rejected(self, bad):
-        with pytest.raises(ValueError):
-            cooling.optimal_detuning(fig5_coupled(100.0), mode="numeric", **bad)
+    def test_tolerance_below_float_spacing_returns(self, monkeypatch):
+        # Near delta2p = 1.3e10 one float step, 1.9e-6, is wider than SCAN_TOL,
+        # so the bracket stops shrinking before it reaches the tolerance.
+        p = fig5_coupled(2e10)
+        grids = []
+        real = cooling.cooling_limit
 
-    def test_tolerance_below_float_spacing_returns(self):
-        p = fig5_coupled(100.0)
-        best = cooling.optimal_detuning(p, mode="numeric", tol=1e-300)
-        assert best == pytest.approx(cooling.optimal_detuning(p, mode="numeric"), abs=1e-5)
+        def recorded(q):
+            grids.append(np.asarray(q.delta2p))
+            return real(q)
+
+        monkeypatch.setattr(cooling, "cooling_limit", recorded)
+        best = cooling.optimal_detuning(p, mode="numeric")
+        monkeypatch.undo()
+        assert np.spacing(best) > cooling.SCAN_TOL
+        assert np.ptp(grids[-1]) <= 4.0 * np.spacing(best)
+        seen = real(p.replace(delta2p=np.concatenate(grids))).n_f
+        around = real(p.replace(delta2p=np.nextafter(best, np.array([-np.inf, np.inf])))).n_f
+        found = real(p.replace(delta2p=best)).n_f
+        assert found == np.nanmin(seen) and found <= np.min(around)
 
 
 def golden_section(fun, a, b, tol):
@@ -291,18 +291,27 @@ def objective_cost(objective, p, delta):
     return -np.asarray(cooling.net_rate(p.replace(delta2p=delta)))
 
 
+def beyond_scan(p):
+    """`p` with J tripled, which moves the closed-form detuning J^2/(delta3 + 1)
+    to 3.2-10 kappa: the optimum lies beyond the scanned +-SCAN_SPAN kappa."""
+    j = 3.0 * p.J
+    return p.replace(J=j, delta2p=j**2 / (p.delta3 + 1.0))
+
+
 class TestOptimiserRegression:
     """Block re-scan against a fine scan and a golden-section reference.
 
-    span=0.3 puts the optimum (near kappa/1.5) outside the scanned range, so
+    For the `beyond` points the optimum lies outside the scanned range, so
     the best scan point is the grid's right edge.
     """
 
-    @pytest.mark.parametrize("span", [3.0, 0.3])
+    @pytest.mark.parametrize("beyond", [False, True], ids=["inside", "beyond"])
     @pytest.mark.parametrize("objective", ["n_f", "net_rate"])
     @pytest.mark.parametrize("p", bench_like_points(2024, 6))
-    def test_against_scan_golden_section_and_block_count(self, p, objective, span, monkeypatch):
-        tol, points = 1e-6, 2001
+    def test_against_scan_golden_section_and_block_count(self, p, objective, beyond, monkeypatch):
+        if beyond:
+            p = beyond_scan(p)
+        span, points, tol = cooling.SCAN_SPAN, cooling.SCAN_POINTS, cooling.SCAN_TOL
         blocks = []
 
         def counted(real):
@@ -314,7 +323,7 @@ class TestOptimiserRegression:
 
         monkeypatch.setattr(cooling, "cooling_limit", counted(cooling.cooling_limit))
         monkeypatch.setattr(cooling, "net_rate", counted(cooling.net_rate))
-        best = cooling.optimal_detuning(p, mode="numeric", objective=objective, span=span, points=points)
+        best = cooling.optimal_detuning(p, mode="numeric", objective=objective)
         monkeypatch.undo()
         assert all(np.ndim(q.delta2p) == 1 for q in blocks)
         width = 2.0 * (2.0 * span * p.kappa / (points - 1))
@@ -333,5 +342,5 @@ class TestOptimiserRegression:
         )
         reference = float(objective_cost(objective, p, golden))
         assert found <= reference + 1e-12 * abs(reference)
-        if span == 0.3:
+        if beyond:
             assert i == points - 1

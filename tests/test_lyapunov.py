@@ -217,8 +217,11 @@ class TestIllConditionedFlag:
     """What the `ill_conditioned` flag has to mean, against scipy's Bartels-Stewart solver.
 
     Two points that the residual flags today.  At the first the solve is
-    backward stable to 1e-17 and its occupancy is still 1e-5 off, so the flag
-    must bound the occupancy's forward error, not the solve's backward error.
+    backward stable to 1e-17, yet a 60-digit `mpmath` solve of the Kronecker
+    form gives n = 499752623712.64859, from which cavcool's unmasked occupancy
+    is 1.1e-6 off and scipy's 1.1e-5 off; the 1e-5 gap asserted below is
+    scipy's error.  So the flag must bound the occupancy's forward error, not
+    the solve's backward error.
     At the second the occupancy is accurate, so flagging it is the fault of
     the residual's normalisation (ROADMAP item 1).
     """
