@@ -221,6 +221,25 @@ class TestOptimalDetuning:
         with pytest.raises(ValueError):
             cooling.optimal_detuning(fig5_coupled(100.0), mode="magic")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"mode": "closed_form"},
+            {"mode": "Numeric"},
+            {"mode": ""},
+            {"mode": None},
+            {"objective": "N_F"},
+            {"objective": "n_f "},
+            {"objective": "rate"},
+            {"objective": ""},
+            {"objective": None},
+        ],
+    )
+    def test_bad_arguments_rejected(self, bad):
+        # The error names the argument it rejects.
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            cooling.optimal_detuning(fig5_coupled(100.0), **bad)
+
     def test_tolerance_below_float_spacing_returns(self, monkeypatch):
         # Near delta2p = 1.3e10 one float step, 1.9e-6, is wider than SCAN_TOL,
         # so the bracket stops shrinking before it reaches the tolerance.
