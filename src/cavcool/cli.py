@@ -39,10 +39,10 @@ RECOIL_50NM = params.recoil_heating(50e-9, 2.0, 1e-6)
 # Points evaluated per block: bounds the evaluator's temporary arrays, and a
 # `tabulate` table (a sweep, spectrum or figure) holds one block at a time.
 BLOCK_POINTS = 2048
-# Largest sweep or spectrum grid (axis1.count x axis2.count), a 1000 x 1000
-# grid.  Only the axis grids (8 bytes per value) and one block are held, so
-# the cap bounds run time and file size: the widest sweep (every quantity but
-# S_ff with --dual, 41 columns) writes about 600 bytes per row, 0.6 GB here.
+# Largest grid of any `tabulate` table (the product of its axis counts), a
+# 1000 x 1000 grid.  Only the axis grids (8 bytes per value) and one block are
+# held, so the cap bounds run time and file size: the widest sweep (every
+# quantity but S_ff with --dual, 41 columns) writes about 600 bytes per row, 0.6 GB here.
 MAX_SWEEP_POINTS = 1_000_000
 
 
@@ -252,15 +252,23 @@ def tabulate(axes, series, columns):
     condition wins.  A `flag` of series None is the first series' flag where
     that is not `ok`, and the last series' flag elsewhere.
 
-    Every block's parameters are built once here first, so a point outside
-    its field's domain raises before the CSV is opened.  The rows are then
+    A table with `S_ff` but no `omega` axis or the reverse, then one of more
+    than MAX_SWEEP_POINTS points, is refused before any grid or `series` call.
+    Every block's parameters are built once first, so a point outside its
+    field's domain raises before the CSV is opened.  The rows are then
     evaluated one block of BLOCK_POINTS points at a time, as `emit_csv`
     writes them, each series by one `evaluate_quantities` call.
     """
     names = [axis.name for axis in axes]
-    grids = [axis.grid() for axis in axes]
-    shape = tuple(len(grid) for grid in grids)
+    spectrum = any(source == "S_ff" for _, source, _ in columns)
+    if spectrum != ("omega" in names):
+        raise ValidationError("quantity S_ff requires an `omega` axis" if spectrum
+                              else "an `omega` axis is read only by the quantity S_ff")
+    shape = tuple(axis.count for axis in axes)
     size = math.prod(shape)
+    if size > MAX_SWEEP_POINTS:
+        raise ValidationError(f"grid of {size} points exceeds the limit of {MAX_SWEEP_POINTS} points")
+    grids = [axis.grid() for axis in axes]
 
     def points():
         for start in range(0, size, BLOCK_POINTS):
@@ -375,15 +383,6 @@ SWEEP_FLAG_CONFLICTS = {
 }
 
 
-def _check_grid_size(kind, axes):
-    """Refuse a grid of `axes` of more than MAX_SWEEP_POINTS points."""
-    size = math.prod(axis.count for axis in axes)
-    if size > MAX_SWEEP_POINTS:
-        raise ValidationError(
-            f"{kind} of {size} points exceeds the limit of {MAX_SWEEP_POINTS} points"
-        )
-
-
 def _single_cavity(p):
     return p.replace(J=0.0, delta2p=-p.kappa / 2.0)
 
@@ -415,10 +414,8 @@ def run_sweep(base, axes, quantities, dual, preset_coupling):
     fig5-6 curves are: with `preset_coupling` by `_preset_coupled`, which sets
     J and delta2p per point, and otherwise as `SweptJ` exactly when J is an axis.  With
     `dual` each point is evaluated for the coupled and the single-cavity series;
-    the row's flag is the coupled one unless that is `ok`.  Grids of more than
-    MAX_SWEEP_POINTS points are rejected before anything is allocated.
+    the row's flag is the coupled one unless that is `ok`.
     """
-    _check_grid_size("sweep", axes)
     plain = params.SweptJ if any(axis.name == "J" for axis in axes) else params.NormalizedParams
     couple = _preset_coupled if preset_coupling else plain
     series = _swept_series({k: getattr(base, k) for k in params.RATE_KEYS}, couple, ({},), dual)
@@ -674,13 +671,9 @@ def _dispatch(args):
         base = _single_cavity(base)
 
     if args.subcommand == "spectrum":
-        axis = parse_axis(args.axis1)
-        if axis.name != "omega":
-            raise ValidationError("spectrum axis must be `omega`")
-        _check_grid_size("spectrum", [axis])
         # The config point itself, not a block: its omega grid keeps numpy's arithmetic.
         columns = [("omega", "omega", None), ("S", "S_ff", 0)]
-        rows, schema = tabulate([axis], lambda point: (base,), columns)
+        rows, schema = tabulate([parse_axis(args.axis1)], lambda point: (base,), columns)
     elif args.subcommand in POINT_SUBCOMMANDS:
         series = "single" if base.J == 0.0 else "coupled"
         _, sources = POINT_SUBCOMMANDS[args.subcommand]
@@ -709,11 +702,6 @@ def _dispatch(args):
                     raise ValidationError(
                         f"{flag} sets J and delta2p itself; it cannot be combined with {what}"
                     )
-        if ("S_ff" in quantities) != ("omega" in given):
-            raise ValidationError(
-                "quantity S_ff requires an `omega` axis" if "S_ff" in quantities
-                else "an `omega` axis is read only by the quantity S_ff"
-            )
         rows, schema = run_sweep(base, axes, quantities, args.dual, args.preset_coupling)
     emit_csv(rows, schema, args.out)
     return EXIT_OK

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import response
-from .errors import NoCoolingWindow
+from .errors import NoCoolingWindow, NumericError
 from .params import square, unwrap
 from .response import OMEGA_M
 
@@ -93,7 +93,8 @@ def optimal_detuning(p, mode="numeric", objective="n_f"):
     best point evaluated.  The objective is the phonon limit n_f (minimized)
     or "net_rate" (Gamma_opt maximized).  `mode` must be "numeric"; the closed
     form is `closed_form_detuning`.  Raises NoCoolingWindow when no scanned
-    detuning cools at all (n_f objective).
+    detuning cools at all (n_f objective), and NumericError when the first
+    scan's best point is an end of its grid, so the optimum may lie beyond it.
     """
     if mode != "numeric":
         raise ValueError(f"mode must be 'numeric' (closed form: closed_form_detuning), got {mode!r}")
@@ -115,6 +116,11 @@ def optimal_detuning(p, mode="numeric", objective="n_f"):
         # n_f is NaN where Gamma_opt <= 0; non-finite costs never win.
         values = np.where(np.isfinite(values), values, np.inf)
         i = int(np.argmin(values))
+        if width == np.inf and i in (0, SCAN_POINTS - 1):  # the first scan's best is an end
+            raise NumericError(
+                f"the best scanned detuning is the {'lower' if i == 0 else 'upper'} end "
+                f"{grid[i]:.6g} of +-{SCAN_SPAN:g} kappa; the optimum may lie beyond it"
+            )
         if values[i] <= best_value:
             best, best_value = float(grid[i]), values[i]
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]

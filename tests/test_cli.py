@@ -243,6 +243,23 @@ def test_every_product_goes_through_the_evaluator(config_path, tmp_path, monkeyp
     assert state["calls"] > 0
 
 
+@pytest.mark.parametrize("axes, columns, message", [
+    pytest.param([cli.Axis("kappa", 1.0, 2.0, 5, "lin")], [("S", "S_ff", 0)],
+                 "quantity S_ff requires an `omega` axis", id="S_ff-without-omega"),
+    pytest.param([cli.Axis("omega", -1.0, 1.0, 5, "lin")], [("n_f", "n_f", 0)],
+                 "an `omega` axis is read only by the quantity S_ff", id="omega-without-S_ff"),
+    pytest.param([cli.Axis("omega", -1.0, 1.0, 10**12, "lin")], [("S", "S_ff", 0)],
+                 f"grid of {10**12} points exceeds the limit of", id="cap"),
+])
+def test_tabulate_refuses_before_series(axes, columns, message):
+    """`tabulate` refuses a table it cannot make before `series` is called."""
+    def series(point):
+        raise AssertionError("a refused table called its series")
+
+    with pytest.raises(cli.ValidationError, match=re.escape(message)):
+        cli.tabulate(axes, series, columns)
+
+
 def test_oracle_solves_once(config_path, tmp_path, monkeypatch):
     """One `oracle` run makes one `oracle_compare`, so one cooling limit,
     one Lyapunov solve and one eigen-decomposition: its `stable` column
@@ -421,12 +438,15 @@ class TestSpectrumCommand:
         assert len(rows) == 41
         assert float(rows[0][0]) == -2.0
 
-    def test_rejects_non_omega_axis(self, config_path, tmp_path):
+    def test_rejects_non_omega_axis(self, config_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
         rc = cli.main([
-            "spectrum", "--config", config_path, "--out", str(tmp_path / "x.csv"),
+            "spectrum", "--config", config_path, "--out", str(out),
             "--axis1", "kappa:1:2:5:lin",
         ])
         assert rc == 2
+        assert capsys.readouterr().err == "error: quantity S_ff requires an `omega` axis\n"
+        assert not out.exists()
 
     def test_grid_size_cap(self, config_path, tmp_path, monkeypatch, capsys):
         out = tmp_path / "capped.csv"
@@ -436,11 +456,22 @@ class TestSpectrumCommand:
         ]
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
         assert cli.main(argv) == 2
-        assert "spectrum of 12 points exceeds the limit of 11 points" in capsys.readouterr().err
+        assert "grid of 12 points exceeds the limit of 11 points" in capsys.readouterr().err
         assert not out.exists()
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 12)
         assert cli.main(argv) == 0
         assert len(read_csv(out)[1]) == 12
+
+    def test_grid_cap_precedes_allocation(self, config_path, tmp_path, capsys):
+        # A 10^12-point grid would take 7.28 TiB: were it made before the
+        # cap is checked, numpy would raise MemoryError and the command exit 1.
+        out = tmp_path / "huge.csv"
+        argv = ["spectrum", "--config", config_path, "--out", str(out)]
+        assert cli.main(argv + ["--axis1", "omega:-3:3:1000000000000:lin"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid of {10**12} points exceeds the limit of {cli.MAX_SWEEP_POINTS} points\n"
+        )
+        assert not out.exists()
 
     def test_determinism(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -684,6 +715,10 @@ class TestSweep:
                      "an `omega` axis is read only by the quantity S_ff", id="omega-without-S_ff"),
         pytest.param(["--axis1", "kappa:10:100:3:log", "--quantity", "S_ff"],
                      "quantity S_ff requires an `omega` axis", id="S_ff-without-omega"),
+        # Gridding 10^12 points would raise MemoryError (exit 1): the cap comes first.
+        pytest.param(["--axis1", "kappa:1:10:1000000000000:log"],
+                     f"grid of {10**12} points exceeds the limit of {cli.MAX_SWEEP_POINTS} points",
+                     id="grid-cap"),
     ])
     def test_preset_coupling_refuses_overridden_axis(
         self, config_path, tmp_path, monkeypatch, capsys, extra, message
@@ -921,7 +956,7 @@ class TestSweep:
         ]
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
         assert cli.main(argv) == 2
-        assert "sweep of 12 points exceeds the limit of 11 points" in capsys.readouterr().err
+        assert "grid of 12 points exceeds the limit of 11 points" in capsys.readouterr().err
         assert not out.exists()
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 12)
         assert cli.main(argv) == 0

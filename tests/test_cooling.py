@@ -1,13 +1,14 @@
 """Cooling-rate and phonon-limit tests with independently computed oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import RECOIL_50NM, fig5_coupled, fig5_single
 
 from cavcool import cli, cooling, invariants, params, response
-from cavcool.errors import NoCoolingWindow
+from cavcool.errors import NoCoolingWindow, NumericError
 from cavcool.params import NormalizedParams, SweptJ
 
 
@@ -321,16 +322,17 @@ class TestOptimiserRegression:
     """Block re-scan against a fine scan and a golden-section reference.
 
     For the `beyond` points the optimum lies outside the scanned range, so
-    the best scan point is the grid's right edge.
+    the best scan point is the grid's right edge and the search raises
+    NumericError naming it, after that one scan.
     """
 
     @pytest.mark.parametrize("beyond", [False, True], ids=["inside", "beyond"])
     @pytest.mark.parametrize("objective", ["n_f", "net_rate"])
     @pytest.mark.parametrize("p", bench_like_points(2024, 6))
     def test_against_scan_golden_section_and_block_count(self, p, objective, beyond, monkeypatch):
-        if beyond:
-            p = beyond_scan(p)
         span, points, tol = cooling.SCAN_SPAN, cooling.SCAN_POINTS, cooling.SCAN_TOL
+        p = beyond_scan(p) if beyond else p
+        grid = np.linspace(-span * p.kappa, span * p.kappa, points)
         blocks = []
 
         def counted(real):
@@ -342,6 +344,14 @@ class TestOptimiserRegression:
 
         monkeypatch.setattr(cooling, "cooling_limit", counted(cooling.cooling_limit))
         monkeypatch.setattr(cooling, "net_rate", counted(cooling.net_rate))
+        if beyond:
+            edge = f"upper end {grid[-1]:.6g} of +-{span:g} kappa"
+            with pytest.raises(NumericError, match=re.escape(edge)):
+                cooling.optimal_detuning(p, mode="numeric", objective=objective)
+            monkeypatch.undo()
+            assert len(blocks) == 1
+            assert int(np.argmin(objective_cost(objective, p, grid))) == points - 1
+            return
         best = cooling.optimal_detuning(p, mode="numeric", objective=objective)
         monkeypatch.undo()
         assert all(np.ndim(q.delta2p) == 1 for q in blocks)
@@ -353,7 +363,6 @@ class TestOptimiserRegression:
         target = float(np.min(objective_cost(objective, p, fine)))
         assert found <= target + 1e-9 * abs(target)
 
-        grid = np.linspace(-span * p.kappa, span * p.kappa, points)
         i = int(np.argmin(objective_cost(objective, p, grid)))
         golden = golden_section(
             lambda d: float(objective_cost(objective, p, d)),
@@ -361,5 +370,3 @@ class TestOptimiserRegression:
         )
         reference = float(objective_cost(objective, p, golden))
         assert found <= reference + 1e-12 * abs(reference)
-        if beyond:
-            assert i == points - 1
