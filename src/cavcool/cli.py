@@ -388,13 +388,13 @@ def _single_cavity(p):
 
 
 def _swept_series(fields, couple, curves, dual):
-    """`tabulate`'s `series` for `sweep` and the fig5-6 curves: per block, the
-    curve `couple(fields | changes | axis columns)` for each field `changes`
-    of `curves` (`omega` is not a field), and with `dual` the first curve's
-    `_single_cavity` companion.  Unswept fields stay scalars, and a series
-    that is one point (the companion of a J or delta2p sweep) stays a point,
-    evaluated once per block.  Only over an `omega` axis is a one-point series
-    broadcast to the block, so that `S_ff` keeps its block arithmetic.
+    """`tabulate`'s `series` for `sweep`, fig4 and the fig5-6 curves: per block, the curve
+    `couple(fields | changes | axis columns)` for each field `changes` of `curves` (`omega`
+    is not passed; fig4's `ratio` is its `couple`'s), and with `dual` the first curve's
+    `_single_cavity` companion.  Unswept fields stay scalars, and a series that is one
+    point (the companion of a J or delta2p sweep) stays a point, evaluated once per block.
+    Only over an `omega` axis is a one-point series broadcast to the block, so that
+    `S_ff` keeps its block arithmetic.
     """
     def series(point):
         swept = {k: v for k, v in point.items() if k != "omega"}
@@ -410,8 +410,8 @@ def _swept_series(fields, couple, curves, dual):
 def run_sweep(base, axes, quantities, dual, preset_coupling):
     """(rows, schema) of `quantities` over the grid of `axes`, by `tabulate`.
 
-    The series is `base` with the axis values, built by `_swept_series` as the
-    fig5-6 curves are: with `preset_coupling` by `_preset_coupled`, which sets
+    The series is `base` with the axis values, built by `_swept_series` as fig4's maps
+    and the fig5-6 curves are: with `preset_coupling` by `_preset_coupled`, which sets
     J and delta2p per point, and otherwise as `SweptJ` exactly when J is an axis.  With
     `dual` each point is evaluated for the coupled and the single-cavity series;
     the row's flag is the coupled one unless that is `ok`.
@@ -431,9 +431,9 @@ def run_sweep(base, axes, quantities, dual, preset_coupling):
 # ---------------------------------------------------------------------------
 
 
-def _preset_fields(preset, **changes):
-    """The parameter fields that `preset` sets, with `changes` applied."""
-    return {k: preset[k] for k in params.RATE_KEYS if k in preset} | changes
+def _preset_fields(preset):
+    """The parameter fields that `preset` sets."""
+    return {k: preset[k] for k in params.RATE_KEYS if k in preset}
 
 
 def _spectra(preset):
@@ -447,12 +447,11 @@ def _spectra(preset):
 
 def _rate_map(preset):
     """fig4: Gamma_opt over kappa and delta2p / kappa, at J = 0 (`single`) or J = sqrt(kappa)."""
-    def series(point):
-        kappa = point["kappa"]
+    def couple(ratio, kappa, **fields):
         j = 0.0 if preset["single"] else params.j_sideband_preset(kappa)
-        fields = _preset_fields(preset, kappa=kappa, delta2p=point["ratio"] * kappa, J=j)
-        return (params.NormalizedParams(**fields),)
+        return params.NormalizedParams(**fields, kappa=kappa, delta2p=ratio * kappa, J=j)
 
+    series = _swept_series(_preset_fields(preset), couple, ({},), False)
     columns = [("kappa", "kappa", None), ("delta2p", "delta2p", 0), ("Gamma_opt", "Gamma_opt", 0)]
     return series, columns, ("delta2p / omega_m", "kappa / omega_m", True)
 

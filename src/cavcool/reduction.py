@@ -52,9 +52,21 @@ class StabilityVerdict:
 
 
 def effective_params(p):
-    """Effective two-mode parameters (eta, Omega_eff, kappa_eff, Delta_eff)."""
+    """Effective two-mode parameters (eta, Omega_eff, kappa_eff, Delta_eff).
+
+    eta's norm is sqrt(delta2p^2 + kappa^2/4), taken by `np.hypot` where that
+    sum of squares is subnormal, 0 or inf (|delta2p| and kappa both below
+    ~1e-154, or near MAX_MAGNITUDE), so eta is finite wherever its true value
+    is; elsewhere the plain norm keeps its bits.  Overflow gives inf without a
+    warning; an infinite eta times a zero Omega_m or delta2p still warns.
+    """
     with np.errstate(all="ignore"):
-        eta = p.J / np.sqrt(square(p.delta2p) + square(p.kappa / 2.0))
+        squares = square(p.delta2p) + square(p.kappa / 2.0)
+        plain = (squares >= np.finfo(np.float64).tiny) & (squares < np.inf)
+        eta = p.J / np.where(plain, np.sqrt(squares), np.hypot(p.delta2p, p.kappa / 2.0))
+    with np.errstate(over="ignore"):
+        Omega_eff, eta_squared = eta * p.Omega_m, square(eta)
+        kappa_eff, Delta_eff = p.kappa3 + eta_squared * p.kappa, p.delta3 - eta_squared * p.delta2p
     checks = {
         "detuning_separation": abs(p.delta2p) >= REGIME_FACTOR * abs(p.delta3),
         "kappa_dominates_kappa3": p.kappa >= REGIME_FACTOR * p.kappa3,
@@ -63,9 +75,9 @@ def effective_params(p):
     }
     return EffectiveParams(
         eta=unwrap(eta),
-        Omega_eff=unwrap(eta * p.Omega_m),
-        kappa_eff=unwrap(p.kappa3 + square(eta) * p.kappa),
-        Delta_eff=unwrap(p.delta3 - square(eta) * p.delta2p),
+        Omega_eff=unwrap(Omega_eff),
+        kappa_eff=unwrap(kappa_eff),
+        Delta_eff=unwrap(Delta_eff),
         # `&` broadcasts a check on scalar fields against the array checks.
         regime_ok=unwrap(functools.reduce(operator.and_, checks.values())),
     )

@@ -570,6 +570,20 @@ class TestPointCommands:
         row = dict(zip(header, rows[0]))
         assert (row["stable"], row["margin"]) == (stable, margin)
 
+    def test_effective_single_cavity_at_tiny_kappa(self, tmp_path):
+        # kappa = 1e-200 and delta2p = -kappa/2: both squares of eta's norm underflow to 0.
+        config = tmp_path / "tiny.cfg"
+        config.write_text(CONFIG.replace("kappa = 100", "kappa = 1e-200"))
+        out = tmp_path / "eff.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["effective", "--config", str(config), "--out", str(out), "--single-cavity"]
+            assert cli.main(argv) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        values = [row[k] for k in ("eta", "Omega_eff", "kappa_eff", "Delta_eff")]
+        assert values == ["0", "0", "1", "0.5"]
+
     def test_effective_row(self, config_path, tmp_path):
         out = tmp_path / "eff.csv"
         assert cli.main(["effective", "--config", config_path, "--out", str(out)]) == 0
@@ -909,6 +923,21 @@ class TestSweep:
         header, dual_rows = read_csv(dual)
         assert header == ["Omega_m", "n_f_coupled", "n_f_single", "flag"]
         assert [row[:2] for row in single_rows] == [[row[0], row[2]] for row in dual_rows]
+
+    def test_dual_eta_at_tiny_kappa(self, config_path, tmp_path):
+        # The single-cavity series at kappa = 1e-200 has eta = 0, not NaN, with no warning.
+        out = tmp_path / "tiny.csv"
+        quantities = ("eta", "Omega_eff", "kappa_eff", "Delta_eff", "margin_coupled")
+        argv = ["sweep", "--config", config_path, "--out", str(out), "--dual",
+                "--axis1", "kappa:1e-200:1:5:log", "--quantity", ",".join(quantities)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        header, rows = read_csv(out)
+        first = dict(zip(header, rows[0]))
+        assert [first[f"{q}_single"] for q in quantities] == ["0", "0", "1", "0.5", "inf"]
+        assert first["flag"] == "ok"
+        assert not any("nan" in row for row in rows)
 
     def test_not_cooling_points_flagged(self, config_path, tmp_path):
         out = tmp_path / "flags.csv"

@@ -1,13 +1,23 @@
 """Effective-parameter and stability-criterion tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import effective_form_margin, fig5_coupled
+from hypothesis import given
+from hypothesis import strategies as st
+from test_bit_contract import SETTINGS
 
 from cavcool import cooling, reduction
-from cavcool.params import NormalizedParams
+from cavcool.params import MAX_MAGNITUDE, NormalizedParams
+
+
+def full_range():
+    """Log-uniform floats from the smallest normal float to MAX_MAGNITUDE."""
+    lo, hi = np.finfo(np.float64).tiny, MAX_MAGNITUDE
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
 
 
 class TestEffectiveParams:
@@ -49,11 +59,47 @@ class TestEffectiveParams:
             assert (eff.eta[i], eff.regime_ok[i]) == (single.eta, single.regime_ok)
             assert margin[i] == reduction.stability_coupled(point.replace(J=j)).margin
 
+    @pytest.mark.parametrize(
+        "J, delta2p, kappa, eta, margin",
+        [
+            # Both squares underflow to 0: the plain norm is 0, so eta was inf.
+            (1e-200, 0.0, 1e-200, 2.0, 0.2),
+            # Their sum overflows: the plain norm is inf, so eta was 0.
+            (1e154, 1.3e154, 1.3e154, 1e154 / math.hypot(1.3e154, 6.5e153), 1.0),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_eta_at_extreme_scales(self, J, delta2p, kappa, eta, margin):
+        p = NormalizedParams(
+            delta2p=delta2p, delta3=0.5, kappa=kappa, kappa3=1.0, J=J, Omega_m=0.25
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eff = reduction.effective_params(p)
+            verdict = reduction.stability_coupled(p, eff)
+        assert eff.eta == pytest.approx(eta, rel=1e-15, abs=0.0)
+        assert verdict.margin == pytest.approx(margin, rel=1e-12)
+
     def test_regime_diagnostics(self):
         good = reduction.effective_params(fig5_coupled(100.0))
         assert good.regime_ok
         bad = reduction.effective_params(fig5_coupled(100.0).replace(delta2p=1.0))
         assert not bad.regime_ok
+
+
+@SETTINGS
+@given(J=full_range(), delta2p=full_range(), kappa=full_range(), negative=st.booleans())
+def test_eta_over_the_whole_domain(J, delta2p, kappa, negative):
+    """eta is J / hypot(delta2p, kappa/2) to 4 ulp, or inf where that overflows, with no warning."""
+    delta2p = -delta2p if negative else delta2p
+    p = NormalizedParams(delta2p=delta2p, delta3=0.5, kappa=kappa, kappa3=1.0, J=J, Omega_m=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eta = reduction.effective_params(p).eta
+        with np.errstate(over="ignore", under="ignore"):
+            expected = J / np.hypot(delta2p, kappa / 2.0)
+    # Distance in ulp: positive floats order as their bits, and inf is one past the largest.
+    assert abs(int(np.float64(eta).view(np.int64)) - int(expected.view(np.int64))) <= 4
 
 
 class TestStabilitySingle:
