@@ -8,11 +8,11 @@ table (axes, the parameters of each series, columns), evaluated by
 `evaluate_quantities` one block at a time as `emit_csv` writes it; every
 file, CSV or sidecar, is written by `_committed`, whole or not at all.  Exit
 codes: 0 success, 2 validation/usage error, 3 numeric failure: `oracle`'s
-Lyapunov solve missing its residual target, or a failed `selftest` check.
-Non-cooling, unstable or ill-conditioned parameter points are data (flag
-columns / NaN values), not failures: `evaluate_quantities` returns a
-boolean mask per condition, and `tabulate` renders each series' flag
-column from the masks.
+Lyapunov solve missing its residual target (the evaluator's `ill_conditioned`
+mask), or a failed `selftest` check.  Non-cooling, unstable or
+ill-conditioned parameter points are data (flag columns / NaN values), not
+failures: `evaluate_quantities` returns a boolean mask per condition, and
+`tabulate` renders each series' flag column from the masks.
 """
 
 import argparse
@@ -132,15 +132,16 @@ def emit_csv(rows, schema, path):
 # Point evaluation: the one path from parameters to output values and conditions
 # ---------------------------------------------------------------------------
 
-def _oracle(p, *_):
-    """`lyapunov.oracle_compare(p)`; an `ill_conditioned` solve raises NumericError."""
-    r, tol = lyapunov.oracle_compare(p), lyapunov.RESIDUAL_RTOL
-    if np.any(lyapunov.ill_conditioned(r.residual)):
-        raise NumericError(f"Lyapunov residual {np.nanmax(r.residual):.3e} exceeds target {tol:.1e}")
-    return r
+def _oracle(p, omega, once):
+    """`lyapunov.compare` of the shared `cooling` and `solve`; `ill_conditioned` raises NumericError."""
+    if np.any(once("ill_conditioned")):
+        residual, tol = np.nanmax(once("solve").residual), lyapunov.RESIDUAL_RTOL
+        raise NumericError(f"Lyapunov residual {residual:.3e} exceeds target {tol:.1e}")
+    return lyapunov.compare(p, once("cooling"), once("solve"))
 
 
-# Intermediate -> its one computation, from the parameters, S_ff's `omega` and `once` (below).
+# Intermediate or condition mask -> its one computation, from the parameters, S_ff's `omega`
+# and `once` (below).
 INTERMEDIATES = {
     "spectrum": lambda p, omega, once: response.s_ff(omega, p),
     "cooling": lambda p, *_: cooling.cooling_limit(p),
@@ -151,13 +152,9 @@ INTERMEDIATES = {
     "eigen": lambda p, *_: lyapunov.eigen_stable(lyapunov.build_model(p)),
     "solve": lambda p, *_: lyapunov.solve_steady(lyapunov.build_model(p)),
     "oracle": _oracle,
-}
-
-# Condition -> its mask, from the intermediate of the quantity that raises it.
-CONDITIONS = {
-    "not_cooling": lambda report: np.logical_not(report.cooling),
-    "ill_conditioned": lambda result: lyapunov.ill_conditioned(result.residual),
-    "unstable": lambda result: np.logical_not(result.stable),
+    "not_cooling": lambda p, omega, once: np.logical_not(once("cooling").cooling),
+    "ill_conditioned": lambda p, omega, once: lyapunov.ill_conditioned(once("solve").residual),
+    "unstable": lambda p, omega, once: np.logical_not(once("solve").stable),
 }
 
 # Quantity -> (intermediates, attribute, conditions); see `evaluate_quantities`.  The
@@ -192,9 +189,9 @@ def evaluate_quantities(p, names, omega=None):
     A name's `QUANTITY_TABLE` row gives its value: the row's attribute (all
     of it for None) of the first of the row's intermediates that a requested
     quantity has last, so with `n_lyapunov` requested `stable` reads the
-    solve.  `once` computes each intermediate at most once.  A quantity read
-    records those of its conditions not found yet, by their `CONDITIONS`
-    masks: `not_cooling` at the first cooling quantity, `ill_conditioned`
+    solve.  `once` computes each intermediate, a condition's mask among them,
+    at most once.  A quantity read records those of its conditions not found
+    yet: `not_cooling` at the first cooling quantity, `ill_conditioned`
     (residual above RESIDUAL_RTOL) then `unstable` at `n_lyapunov`.
     """
     rows = [QUANTITY_TABLE[name] for name in names]
@@ -208,9 +205,7 @@ def evaluate_quantities(p, names, omega=None):
     for name, (keys, attribute, raised) in zip(names, rows):
         result = once(next(key for key in keys if key in needed))
         values[name] = result if attribute is None else getattr(result, attribute)
-        for condition in raised:
-            if condition not in conditions:
-                conditions[condition] = CONDITIONS[condition](result)
+        conditions |= {condition: once(condition) for condition in raised}
     del once  # it refers to itself: unbinding it frees its intermediates without a gc pass
     return values, conditions
 

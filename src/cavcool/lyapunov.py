@@ -175,15 +175,13 @@ class OracleReport:
     residual: float
 
 
-def oracle_compare(p):
-    """Compare the phonon-limit formula against the exact Lyapunov solve.
+def compare(p, report, result):
+    """Compare a `cooling_limit` report at `p` against the `solve_steady` result.
 
     The occupancies and deviations are NaN unless the formula cools
     (Gamma_opt > 0) and the drift is stable; an ill-conditioned solve gives
     NaN n_lyapunov and deviations, with its residual reported.
     """
-    report = cooling_mod.cooling_limit(p)
-    result = solve_steady(build_model(p))
     valid = np.logical_and(report.cooling, result.stable)
     with np.errstate(divide="ignore", invalid="ignore"):
         n_rate = np.divide(
@@ -202,3 +200,8 @@ def oracle_compare(p):
         stable=result.stable,
         residual=result.residual,
     )
+
+
+def oracle_compare(p):
+    """The phonon-limit formula against the exact Lyapunov solve: `compare` of its own two."""
+    return compare(p, cooling_mod.cooling_limit(p), solve_steady(build_model(p)))

@@ -10,8 +10,6 @@ Every function evaluates a single point or a block of points (see
 `params.NormalizedParams`) and returns Python scalars for a single point.
 """
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,28 +56,31 @@ def effective_params(p):
     sum of squares is subnormal, 0 or inf (|delta2p| and kappa both below
     ~1e-154, or near MAX_MAGNITUDE), so eta is finite wherever its true value
     is; elsewhere the plain norm keeps its bits.  Overflow gives inf without a
-    warning; an infinite eta times a zero Omega_m or delta2p still warns.
+    warning.  Where an infinite eta meets a zero Omega_m, or an infinite eta^2
+    a zero delta2p, the product inf * 0 is NaN: those cells, and only those,
+    take the true values Omega_eff = 0 and Delta_eff = delta3.
     """
     with np.errstate(all="ignore"):
         squares = square(p.delta2p) + square(p.kappa / 2.0)
         plain = (squares >= np.finfo(np.float64).tiny) & (squares < np.inf)
         eta = p.J / np.where(plain, np.sqrt(squares), np.hypot(p.delta2p, p.kappa / 2.0))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         Omega_eff, eta_squared = eta * p.Omega_m, square(eta)
         kappa_eff, Delta_eff = p.kappa3 + eta_squared * p.kappa, p.delta3 - eta_squared * p.delta2p
-    checks = {
-        "detuning_separation": abs(p.delta2p) >= REGIME_FACTOR * abs(p.delta3),
-        "kappa_dominates_kappa3": p.kappa >= REGIME_FACTOR * p.kappa3,
-        "kappa_dominates_gamma": p.kappa >= REGIME_FACTOR * p.gamma,
-        "kappa_dominates_J": p.kappa >= REGIME_FACTOR * p.J,
-    }
+    Omega_eff = np.where(np.isnan(Omega_eff), 0.0, Omega_eff)
+    Delta_eff = np.where(np.isnan(Delta_eff), p.delta3, Delta_eff)
     return EffectiveParams(
         eta=unwrap(eta),
         Omega_eff=unwrap(Omega_eff),
         kappa_eff=unwrap(kappa_eff),
         Delta_eff=unwrap(Delta_eff),
         # `&` broadcasts a check on scalar fields against the array checks.
-        regime_ok=unwrap(functools.reduce(operator.and_, checks.values())),
+        regime_ok=unwrap(
+            (abs(p.delta2p) >= REGIME_FACTOR * abs(p.delta3))
+            & (p.kappa >= REGIME_FACTOR * p.kappa3)
+            & (p.kappa >= REGIME_FACTOR * p.gamma)
+            & (p.kappa >= REGIME_FACTOR * p.J)
+        ),
     )
 
 
@@ -121,8 +122,30 @@ def stability_coupled(p, eff=None):
         # For tiny eta (J -> 0+) 16 eta^2 underflows or the bound
         # overflows, and inf/inf would be NaN: use the margin's other form.
         margin = np.where(np.isinf(bound), 1.0 - 16.0 * square(eff.Omega_eff) / scale, margin)
+    # Where eta^2, 16 eta^2 or kappa_eff^2 overflows, the margin above is NaN
+    # (inf/inf) or -inf (a bound of 0) whatever its true value.
+    overflowed = ~np.isfinite(margin)
+    if np.any(overflowed):
+        margin = np.where(overflowed, _overflow_margin(p, eff.eta), margin)
     margin = np.where(np.asarray(eff.eta) == 0.0, np.inf, margin)
     return StabilityVerdict(unwrap(margin > 0.0), unwrap(margin))
+
+
+def _overflow_margin(p, eta):
+    """The coupled margin without eta^2 or kappa_eff^2, for the cells that overflow.
+
+    margin = 1 - r^2 with r = 4 Omega_m / hypot(2 omega_m / eta, kappa_eff / eta),
+    kappa_eff / eta = kappa3 / eta + eta kappa; where eta itself is inf, 1/eta is
+    taken as n / J and eta kappa as J (kappa / n), with n = hypot(delta2p, kappa/2).
+    An r^2 beyond the float range gives -inf.  Only the non-finite cells of
+    `stability_coupled` read it, so the other cells' warnings are ignored.
+    """
+    with np.errstate(all="ignore"):
+        n, infinite = np.hypot(p.delta2p, p.kappa / 2.0), np.isinf(eta)
+        inverse = np.where(infinite, n / p.J, 1.0 / eta)
+        eta_kappa = np.where(infinite, p.J * (p.kappa / n), eta * p.kappa)
+        r = 4.0 * p.Omega_m / np.hypot(2.0 * OMEGA_M * inverse, p.kappa3 * inverse + eta_kappa)
+        return 1.0 - square(r)
 
 
 def minimum_coupled_bound(kappa, kappa3):

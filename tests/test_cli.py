@@ -260,28 +260,47 @@ def test_tabulate_refuses_before_series(axes, columns, message):
         cli.tabulate(axes, series, columns)
 
 
-def test_oracle_solves_once(config_path, tmp_path, monkeypatch):
-    """One `oracle` run makes one `oracle_compare`, so one cooling limit,
-    one Lyapunov solve and one eigen-decomposition: its `stable` column
-    reads that solve's verdict."""
+def count_calls(monkeypatch, *targets):
+    """Replace each (module, name) with a wrapper that counts its calls in the returned dict."""
     calls = {}
-
-    def count(module, name):
+    for module, name in targets:
         fn, calls[name] = getattr(module, name), 0
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    return calls
 
-    count(lyapunov, "oracle_compare")
-    count(cooling, "cooling_limit")
-    count(lyapunov, "solve_steady")
-    count(lyapunov, "eigen_stable")
+
+def test_oracle_solves_once(config_path, tmp_path, monkeypatch):
+    """One `oracle` run makes one `lyapunov.compare`, one cooling limit,
+    one Lyapunov solve and one eigen-decomposition: its `stable` column
+    reads that solve's verdict."""
+    calls = count_calls(monkeypatch, (lyapunov, "compare"), (cooling, "cooling_limit"),
+                        (lyapunov, "solve_steady"), (lyapunov, "eigen_stable"))
     out = tmp_path / "oracle.csv"
     assert cli.main(["oracle", "--config", config_path, "--out", str(out)]) == 0
     assert calls == dict.fromkeys(calls, 1)
     assert read_csv(out)[1][0][-1] == "1"
+
+
+def test_n_lyapunov_and_oracle_share_one_solve(monkeypatch):
+    """`n_lyapunov` and an `oracle.*` row on one block read one memo: one
+    cooling limit, one model, one eigen-decomposition and one solve, and
+    the values match `oracle_compare`'s own."""
+    kappa = np.array([50.0, 100.0, 200.0])
+    block = params.NormalizedParams(delta2p=kappa / 1.5, delta3=0.5, kappa=kappa, kappa3=1.0,
+                                    J=np.sqrt(kappa), Omega_m=0.25, gamma=1e-5, gamma_sc=1e-3)
+    expected = lyapunov.oracle_compare(block)
+    calls = count_calls(monkeypatch, (cooling, "cooling_limit"), (lyapunov, "build_model"),
+                        (lyapunov, "eigen_stable"), (lyapunov, "solve_steady"))
+    values, conditions = cli.evaluate_quantities(block, ["n_lyapunov", "oracle.rel_dev"])
+    assert calls == dict.fromkeys(calls, 1)
+    assert list(conditions) == ["ill_conditioned", "unstable"]
+    assert not np.any(conditions["ill_conditioned"] | conditions["unstable"])
+    np.testing.assert_array_equal(values["n_lyapunov"], expected.n_lyapunov)
+    np.testing.assert_array_equal(values["oracle.rel_dev"], expected.rel_dev)
 
 
 @pytest.mark.parametrize("error, rc", [(RuntimeError, None), (KeyboardInterrupt, None), (OSError, 2)])
@@ -583,6 +602,29 @@ class TestPointCommands:
         row = dict(zip(header, rows[0]))
         values = [row[k] for k in ("eta", "Omega_eff", "kappa_eff", "Delta_eff")]
         assert values == ["0", "0", "1", "0.5"]
+
+    @pytest.mark.parametrize("sub, fields, expected", [
+        # eta^2 and kappa_eff^2 overflow: the margin was NaN, the true margin is 1.
+        ("stability", {"J": "1.79e131", "kappa": "3.42e-24", "delta2p": "4.47e-221",
+                       "kappa3": "4.72e-6", "Omega_m": "1.49e-109"}, {"stable": "1", "margin": "1"}),
+        # eta overflows and delta2p = 0: Delta_eff was inf * 0, its true value is delta3.
+        ("stability", {"J": "1e154", "kappa": "1e-300", "delta2p": "0"},
+         {"Delta_eff": "0.5", "stable": "1", "margin": "1"}),
+        ("effective", {"J": "1e154", "kappa": "1e-300", "delta2p": "0"}, {"Delta_eff": "0.5"}),
+    ])
+    def test_coupled_overflow_is_finite_and_silent(self, tmp_path, sub, fields, expected):
+        text = CONFIG
+        for key, value in fields.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        config = tmp_path / "far.cfg"
+        config.write_text(text)
+        out = tmp_path / f"{sub}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([sub, "--config", str(config), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert {key: row[key] for key in expected} == expected
 
     def test_effective_row(self, config_path, tmp_path):
         out = tmp_path / "eff.csv"

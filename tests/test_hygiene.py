@@ -17,6 +17,7 @@ import collections
 import dataclasses
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -146,8 +147,9 @@ def test_every_definition_is_referenced():
 def test_every_quantity_row_is_read():
     """The same rule for the evaluator's tables: every `QUANTITY_TABLE` row
     is read by a product (a sweep quantity, or a point subcommand's source
-    for either series), every intermediate by a row, and every condition is
-    raised by a row."""
+    for either series); every condition a row raises is an intermediate (its
+    mask); and every intermediate is read by a row, raised as a condition,
+    or named in a `once("...")` call of `cli.py`."""
     point = {
         source.replace("*", series)
         for _, sources in cli.POINT_SUBCOMMANDS.values()
@@ -157,8 +159,12 @@ def test_every_quantity_row_is_read():
     read = set(cli.QUANTITIES) | point
     assert [name for name in cli.QUANTITY_TABLE if name not in read] == []
     rows = cli.QUANTITY_TABLE.values()
-    assert set(cli.INTERMEDIATES) == {key for keys, _, _ in rows for key in keys}
-    assert set(cli.CONDITIONS) == {condition for _, _, raised in rows for condition in raised}
+    raised = {condition for _, _, conditions in rows for condition in conditions}
+    assert raised <= set(cli.INTERMEDIATES)
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    named = set(re.findall(r"""\bonce\(["']([^"']+)["']\)""", source))
+    used = {key for keys, _, _ in rows for key in keys} | raised | named
+    assert [key for key in cli.INTERMEDIATES if key not in used] == []
 
 
 def writers(module, source):

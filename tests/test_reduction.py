@@ -1,5 +1,6 @@
 """Effective-parameter and stability-criterion tests."""
 
+import decimal
 import math
 import warnings
 
@@ -100,6 +101,47 @@ def test_eta_over_the_whole_domain(J, delta2p, kappa, negative):
             expected = J / np.hypot(delta2p, kappa / 2.0)
     # Distance in ulp: positive floats order as their bits, and inf is one past the largest.
     assert abs(int(np.float64(eta).view(np.int64)) - int(expected.view(np.int64))) <= 4
+
+
+def signed(values):
+    """`values`, either sign, with 0 among them."""
+    return st.tuples(st.one_of(st.just(0.0), values), st.booleans()).map(
+        lambda pair: -pair[0] if pair[1] else pair[0]
+    )
+
+
+def reference_margin(J, delta2p, kappa, kappa3, Omega_m):
+    """The coupled margin 1 - 16 eta^2 Omega_m^2 / (4 + kappa_eff^2) in 40-digit decimals,
+    whose exponent range holds every product of the domain (omega_m = 1)."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        J, delta2p, kappa, kappa3, Omega_m = map(decimal.Decimal, (J, delta2p, kappa, kappa3, Omega_m))
+        eta_squared = J * J / (delta2p * delta2p + kappa * kappa / 4)
+        kappa_eff = kappa3 + eta_squared * kappa
+        return 1 - 16 * eta_squared * Omega_m * Omega_m / (4 + kappa_eff * kappa_eff)
+
+
+@SETTINGS
+@given(J=full_range(), delta2p=signed(full_range()), kappa=full_range(), kappa3=full_range(),
+       delta3=signed(full_range()), Omega_m=st.one_of(st.just(0.0), full_range()))
+def test_coupled_margin_over_the_whole_domain(J, delta2p, kappa, kappa3, delta3, Omega_m):
+    """The coupled margin has the reference's sign and is within 1e-12 of it, -inf
+    where the reference lies beyond the float range, with no warning and no NaN
+    effective parameter.  An eta that underflows to 0 is the degenerate eta = 0."""
+    p = NormalizedParams(delta2p=delta2p, delta3=delta3, kappa=kappa, kappa3=kappa3, J=J,
+                         Omega_m=Omega_m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eff = reduction.effective_params(p)
+        margin = reduction.stability_coupled(p, eff).margin
+    assert not np.isnan([eff.Omega_eff, eff.kappa_eff, eff.Delta_eff]).any()
+    expected = reference_margin(J, delta2p, kappa, kappa3, Omega_m)
+    if eff.eta == 0.0:
+        assert margin == math.inf
+    elif abs(expected) > decimal.Decimal(np.finfo(np.float64).max):
+        assert expected < 0 and margin == -math.inf
+    else:
+        assert (margin > 0.0) == (expected > 0)
+        assert abs(decimal.Decimal(margin) - expected) <= decimal.Decimal("1e-12") * abs(expected)
 
 
 class TestStabilitySingle:
