@@ -5,8 +5,10 @@ Every subcommand writes an RFC-4180-style CSV (header row, LF endings,
 byte-identical files.  `figure` also writes a gnuplot sidecar naming the CSV,
 and each figure is one `FIGURE_PRESETS` entry.  Every CSV is a `tabulate`
 table (axes, the parameters of each series, columns), evaluated by
-`evaluate_quantities` one block at a time as `emit_csv` writes it; every
-file, CSV or sidecar, is written by `_committed`, whole or not at all.  Exit
+`evaluate_quantities` one block at a time as `emit_csv` writes it: each
+quantity reads one `INTERMEDIATES` entry, computed at most once per block, and
+the drift model and its eigenvalues are one entry each.  Every file, CSV or
+sidecar, is written by `_committed`, whole or not at all.  Exit
 codes: 0 success, 2 validation/usage error, 3 numeric failure: `oracle`'s
 Lyapunov solve missing its residual target (the evaluator's `ill_conditioned`
 mask), or a failed `selftest` check.  Non-cooling, unstable or
@@ -149,32 +151,33 @@ INTERMEDIATES = {
     "effective": lambda p, *_: reduction.effective_params(p),
     "single": lambda p, *_: reduction.stability_single(p),
     "coupled": lambda p, omega, once: reduction.stability_coupled(p, eff=once("effective")),
-    "eigen": lambda p, *_: lyapunov.eigen_stable(lyapunov.build_model(p)),
-    "solve": lambda p, *_: lyapunov.solve_steady(lyapunov.build_model(p)),
+    "model": lambda p, *_: lyapunov.build_model(p),
+    "eigen": lambda p, omega, once: lyapunov.eigen_stable(once("model")),
+    "solve": lambda p, omega, once: lyapunov.solve_steady(once("model"), once("eigen")),
     "oracle": _oracle,
     "not_cooling": lambda p, omega, once: np.logical_not(once("cooling").cooling),
     "ill_conditioned": lambda p, omega, once: lyapunov.ill_conditioned(once("solve").residual),
     "unstable": lambda p, omega, once: np.logical_not(once("solve").stable),
 }
 
-# Quantity -> (intermediates, attribute, conditions); see `evaluate_quantities`.  The
+# Quantity -> (intermediate, attribute, conditions); see `evaluate_quantities`.  The
 # `oracle.*` rows are `oracle`'s own: its occupancy is NaN wherever the formula does not cool.
 QUANTITY_TABLE = {
-    "S_ff": (("spectrum",), None, ()),
-    **{q: (("cooling",), q, ("not_cooling",)) for q in ("A_minus", "A_plus", "Gamma_opt")},
-    "delta_omega_m": (("spring",), None, ()),
-    **{q: (("cooling",), q, ("not_cooling",)) for q in ("n_q", "n_c", "n_f")},
-    **{q: (("effective",), q, ()) for q in ("eta", "Omega_eff", "kappa_eff", "Delta_eff")},
-    "regime_ok": (("effective",), "regime_ok", ()),
-    **{f"{a}_{s}": ((s,), a, ()) for s in ("single", "coupled") for a in ("stable", "margin")},
-    "stable": (("solve", "eigen"), "stable", ()),
-    "max_real_eig": (("solve", "eigen"), "max_real_eigenvalue", ()),
-    "n_lyapunov": (("solve",), "n_phonon", ("ill_conditioned", "unstable")),
-    "oracle.n_f_formula": (("oracle",), "n_formula", ()),
-    **{f"oracle.{a}": (("oracle",), a, ()) for a in ("n_lyapunov", "rel_dev", "stable")},
+    "S_ff": ("spectrum", None, ()),
+    **{q: ("cooling", q, ("not_cooling",)) for q in ("A_minus", "A_plus", "Gamma_opt")},
+    "delta_omega_m": ("spring", None, ()),
+    **{q: ("cooling", q, ("not_cooling",)) for q in ("n_q", "n_c", "n_f")},
+    **{q: ("effective", q, ()) for q in ("eta", "Omega_eff", "kappa_eff", "Delta_eff")},
+    "regime_ok": ("effective", "regime_ok", ()),
+    **{f"{a}_{s}": (s, a, ()) for s in ("single", "coupled") for a in ("stable", "margin")},
+    "stable": ("eigen", "stable", ()),
+    "max_real_eig": ("eigen", "max_real_eigenvalue", ()),
+    "n_lyapunov": ("solve", "n_phonon", ("ill_conditioned", "unstable")),
+    "oracle.n_f_formula": ("oracle", "n_formula", ()),
+    **{f"oracle.{a}": ("oracle", a, ()) for a in ("n_lyapunov", "rel_dev", "stable")},
 }
 # The quantities a sweep may request: every row but `oracle`'s own.
-QUANTITIES = tuple(q for q, (keys, _, _) in QUANTITY_TABLE.items() if keys[-1] != "oracle")
+QUANTITIES = tuple(q for q, (key, _, _) in QUANTITY_TABLE.items() if key != "oracle")
 
 
 def evaluate_quantities(p, names, omega=None):
@@ -187,23 +190,23 @@ def evaluate_quantities(p, names, omega=None):
     found, to a boolean mask, shaped in the same way, of the points where it holds.
 
     A name's `QUANTITY_TABLE` row gives its value: the row's attribute (all
-    of it for None) of the first of the row's intermediates that a requested
-    quantity has last, so with `n_lyapunov` requested `stable` reads the
-    solve.  `once` computes each intermediate, a condition's mask among them,
-    at most once.  A quantity read records those of its conditions not found
-    yet: `not_cooling` at the first cooling quantity, `ill_conditioned`
-    (residual above RESIDUAL_RTOL) then `unstable` at `n_lyapunov`.
+    of it for None) of the row's one intermediate.  `once` computes each
+    intermediate, a condition's mask among them, at most once, so the
+    block's one `model` and one `eigen` feed both `stable` and the solve
+    behind `n_lyapunov`.  A quantity read records those of its conditions
+    not found yet: `not_cooling` at the first cooling quantity,
+    `ill_conditioned` (residual above RESIDUAL_RTOL) then `unstable` at
+    `n_lyapunov`.
     """
-    rows = [QUANTITY_TABLE[name] for name in names]
-    needed = {keys[-1] for keys, _, _ in rows}
     values, conditions = {}, {}
 
     @functools.cache
     def once(key):
         return INTERMEDIATES[key](p, omega, once)
 
-    for name, (keys, attribute, raised) in zip(names, rows):
-        result = once(next(key for key in keys if key in needed))
+    for name in names:
+        key, attribute, raised = QUANTITY_TABLE[name]
+        result = once(key)
         values[name] = result if attribute is None else getattr(result, attribute)
         conditions |= {condition: once(condition) for condition in raised}
     del once  # it refers to itself: unbinding it frees its intermediates without a gc pass

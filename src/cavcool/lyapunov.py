@@ -112,7 +112,7 @@ def ill_conditioned(residual):
     return np.greater(residual, RESIDUAL_RTOL)
 
 
-def solve_steady(model):
+def solve_steady(model, eigen=None):
     """Steady covariance from A V + V A^T + D = 0, solved for symmetric V.
 
     V is symmetric, so the equation reduces to 21 equations in the 21
@@ -123,9 +123,10 @@ def solve_steady(model):
     and an `ill_conditioned` one a NaN occupancy; nothing raises.  A single
     model gives the fields of a one-point stack as Python scalars.  Stacks
     are solved SOLVE_CHUNK systems at a time; each point gets the bits of its
-    own solve.
+    own solve.  `eigen` is `eigen_stable(model)` when the caller has it
+    already; it is computed otherwise, and the result is the same.
     """
-    stable, max_real = eigen_stable(model)
+    stable, max_real = eigen_stable(model) if eigen is None else eigen
     shape = np.shape(stable)
     a = model.drift.reshape(-1, 6, 6)
     d = model.diffusion.reshape(-1, 6, 6)

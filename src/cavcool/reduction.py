@@ -55,10 +55,12 @@ def effective_params(p):
     eta's norm is sqrt(delta2p^2 + kappa^2/4), taken by `np.hypot` where that
     sum of squares is subnormal, 0 or inf (|delta2p| and kappa both below
     ~1e-154, or near MAX_MAGNITUDE), so eta is finite wherever its true value
-    is; elsewhere the plain norm keeps its bits.  Overflow gives inf without a
-    warning.  Where an infinite eta meets a zero Omega_m, or an infinite eta^2
-    a zero delta2p, the product inf * 0 is NaN: those cells, and only those,
-    take the true values Omega_eff = 0 and Delta_eff = delta3.
+    is; elsewhere the plain norm keeps its bits.  Where eta^2 overflows,
+    kappa_eff and Delta_eff multiply by eta twice, eta (eta kappa) and
+    eta (eta delta2p), so they are finite wherever their true values are.
+    Overflow gives inf without a warning.  Where an infinite eta meets a zero
+    Omega_m or delta2p, the product inf * 0 is NaN: those cells, and only
+    those, take the true values Omega_eff = 0 and Delta_eff = delta3.
     """
     with np.errstate(all="ignore"):
         squares = square(p.delta2p) + square(p.kappa / 2.0)
@@ -67,6 +69,10 @@ def effective_params(p):
     with np.errstate(over="ignore", invalid="ignore"):
         Omega_eff, eta_squared = eta * p.Omega_m, square(eta)
         kappa_eff, Delta_eff = p.kappa3 + eta_squared * p.kappa, p.delta3 - eta_squared * p.delta2p
+        overflowed = np.isinf(eta_squared)
+        if np.any(overflowed):
+            kappa_eff = np.where(overflowed, p.kappa3 + eta * (eta * p.kappa), kappa_eff)
+            Delta_eff = np.where(overflowed, p.delta3 - eta * (eta * p.delta2p), Delta_eff)
     Omega_eff = np.where(np.isnan(Omega_eff), 0.0, Omega_eff)
     Delta_eff = np.where(np.isnan(Delta_eff), p.delta3, Delta_eff)
     return EffectiveParams(
@@ -112,6 +118,15 @@ def stability_coupled(p, eff=None):
     degenerate: the criterion constrains nothing, so the verdict is stable
     with infinite margin.  `eff` is `effective_params(p)` when the caller
     has it already; it is computed otherwise.
+
+    Its premise: the bound is the effective two-mode system's parametric
+    instability criterion at Delta_eff = -omega_m.  It reads delta2p only
+    through eta^2 and kappa_eff, so it is even in delta2p, and it omits the
+    other way to go unstable, net anti-damping (Gamma_opt + gamma < 0).  At
+    kappa = 100, J = 10, delta3 = 0.5, kappa3 = 1, Omega_m = 0.25,
+    gamma = 1e-5 and delta2p = -66.67 it reads stable with margin 0.99855,
+    while the drift's largest real eigenvalue is +1.8e-4 (Gamma_opt =
+    -3.7e-4).  The drift's eigenvalues (`lyapunov.eigen_stable`) judge both.
     """
     if eff is None:
         eff = effective_params(p)

@@ -605,8 +605,11 @@ class TestPointCommands:
 
     @pytest.mark.parametrize("sub, fields, expected", [
         # eta^2 and kappa_eff^2 overflow: the margin was NaN, the true margin is 1.
+        # kappa_eff and Delta_eff were inf and -inf; mpmath gives 3.7474854e286, -4.8980291e89.
         ("stability", {"J": "1.79e131", "kappa": "3.42e-24", "delta2p": "4.47e-221",
-                       "kappa3": "4.72e-6", "Omega_m": "1.49e-109"}, {"stable": "1", "margin": "1"}),
+                       "kappa3": "4.72e-6", "Omega_m": "1.49e-109"},
+         {"kappa_eff": "3.7474853801169589e+286", "Delta_eff": "-4.8980291371704113e+89",
+          "stable": "1", "margin": "1"}),
         # eta overflows and delta2p = 0: Delta_eff was inf * 0, its true value is delta3.
         ("stability", {"J": "1e154", "kappa": "1e-300", "delta2p": "0"},
          {"Delta_eff": "0.5", "stable": "1", "margin": "1"}),
@@ -1084,6 +1087,29 @@ class TestSweep:
         assert {row[-1] for row in rows} >= {"ok", "unstable"}
         # 30 rows, two series each: one model and one eigen-decomposition per series.
         assert matrices == {"build_model": 2 * 30, "eigen_stable": 2 * 30}
+
+    def test_eigen_only_sweep_makes_no_solve(self, config_path, tmp_path, monkeypatch):
+        # `stable` and `max_real_eig` read the eigen intermediate, with or
+        # without `n_lyapunov`: the same cells, and without it no solve.
+        def run(name, quantities):
+            out = tmp_path / name
+            assert cli.main([
+                "sweep", "--config", config_path, "--out", str(out),
+                "--axis1", "kappa:1:1000:6:log", "--axis2", "Omega_m:0.05:4:5:log",
+                "--quantity", quantities, "--dual", "--preset-coupling",
+            ]) == 0
+            header, rows = read_csv(out)
+            return dict(zip(header, zip(*rows)))
+
+        solved = run("solved.csv", "n_lyapunov,stable,max_real_eig")
+        calls = count_calls(monkeypatch, (lyapunov, "solve_steady"))
+        eigen = run("eigen.csv", "stable,max_real_eig")
+        assert calls == {"solve_steady": 0}
+        assert list(eigen) == ["kappa", "Omega_m", "stable_coupled", "stable_single",
+                               "max_real_eig_coupled", "max_real_eig_single", "flag"]
+        assert {name: eigen[name] for name in list(eigen)[:-1]} == {
+            name: solved[name] for name in list(eigen)[:-1]}
+        assert set(eigen["stable_coupled"]) == {"0", "1"}
 
 
 class TestFigurePresets:

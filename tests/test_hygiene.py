@@ -147,9 +147,12 @@ def test_every_definition_is_referenced():
 def test_every_quantity_row_is_read():
     """The same rule for the evaluator's tables: every `QUANTITY_TABLE` row
     is read by a product (a sweep quantity, or a point subcommand's source
-    for either series); every condition a row raises is an intermediate (its
-    mask); and every intermediate is read by a row, raised as a condition,
-    or named in a `once("...")` call of `cli.py`."""
+    for either series) and names one intermediate; every condition a row
+    raises is an intermediate (its mask); and every intermediate is read by
+    a row, raised as a condition, or named in a `once("...")` call of
+    `cli.py`.  The drift model and its eigenvalues are made in one place
+    each: `lyapunov.build_model` and `lyapunov.eigen_stable` appear in
+    `cli.py` only in the `model` and `eigen` intermediates."""
     point = {
         source.replace("*", series)
         for _, sources in cli.POINT_SUBCOMMANDS.values()
@@ -159,12 +162,29 @@ def test_every_quantity_row_is_read():
     read = set(cli.QUANTITIES) | point
     assert [name for name in cli.QUANTITY_TABLE if name not in read] == []
     rows = cli.QUANTITY_TABLE.values()
+    assert [key for key, _, _ in rows if key not in cli.INTERMEDIATES] == []
     raised = {condition for _, _, conditions in rows for condition in conditions}
     assert raised <= set(cli.INTERMEDIATES)
     source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
     named = set(re.findall(r"""\bonce\(["']([^"']+)["']\)""", source))
-    used = {key for keys, _, _ in rows for key in keys} | raised | named
+    used = {key for key, _, _ in rows} | raised | named
     assert [key for key in cli.INTERMEDIATES if key not in used] == []
+    tree = ast.parse(source)
+    entries = next(
+        dict(zip((key.value for key in node.value.keys), node.value.values))
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "INTERMEDIATES"
+    )
+    makers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "lyapunov" and node.attr in ("build_model", "eigen_stable")
+    ]
+    where = [
+        (node.attr, next((key for key, value in entries.items() if node in ast.walk(value)), None))
+        for node in makers
+    ]
+    assert sorted(where) == [("build_model", "model"), ("eigen_stable", "eigen")]
 
 
 def writers(module, source):

@@ -1,5 +1,6 @@
 """Lyapunov-oracle tests: model construction, exact limits, cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -204,6 +205,20 @@ class TestSolveSteady:
         assert result.max_real_eigenvalue > 0.0
         assert math.isnan(result.n_phonon) and math.isnan(result.residual)
         assert np.isnan(result.V).all()
+
+    @pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
+    def test_given_eigen_changes_no_bit(self, block):
+        # The block crosses the stability edge; a point gives Python scalars.
+        kappa = np.geomspace(1.0, 1000.0, 6)[:, None]
+        p = make_params(kappa=kappa, J=np.sqrt(kappa), delta2p=kappa / 1.5,
+                        Omega_m=np.geomspace(0.05, 5.0, 5)) if block else make_params()
+        model = lyapunov.build_model(p)
+        given = lyapunov.solve_steady(model, lyapunov.eigen_stable(model))
+        own = lyapunov.solve_steady(model)
+        assert block == (not np.all(own.stable))
+        for field in dataclasses.fields(own):
+            a, b = getattr(given, field.name), getattr(own, field.name)
+            assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_cooled_occupancy_matches_rate_picture(self):
         p = fig5_coupled(100.0)

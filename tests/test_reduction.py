@@ -110,14 +110,31 @@ def signed(values):
     )
 
 
-def reference_margin(J, delta2p, kappa, kappa3, Omega_m):
-    """The coupled margin 1 - 16 eta^2 Omega_m^2 / (4 + kappa_eff^2) in 40-digit decimals,
-    whose exponent range holds every product of the domain (omega_m = 1)."""
+def reference(J, delta2p, kappa, kappa3, delta3, Omega_m):
+    """eta^2, kappa_eff, Delta_eff and the coupled margin 1 - 16 eta^2 Omega_m^2 /
+    (4 + kappa_eff^2) in 40-digit decimals, whose exponent range holds every
+    product of the domain (omega_m = 1)."""
     with decimal.localcontext(decimal.Context(prec=40)):
-        J, delta2p, kappa, kappa3, Omega_m = map(decimal.Decimal, (J, delta2p, kappa, kappa3, Omega_m))
+        J, delta2p, kappa, kappa3, delta3, Omega_m = map(
+            decimal.Decimal, (J, delta2p, kappa, kappa3, delta3, Omega_m)
+        )
         eta_squared = J * J / (delta2p * delta2p + kappa * kappa / 4)
         kappa_eff = kappa3 + eta_squared * kappa
-        return 1 - 16 * eta_squared * Omega_m * Omega_m / (4 + kappa_eff * kappa_eff)
+        margin = 1 - 16 * eta_squared * Omega_m * Omega_m / (4 + kappa_eff * kappa_eff)
+        return eta_squared, kappa_eff, delta3 - eta_squared * delta2p, margin
+
+
+def near(value, expected, terms, factor):
+    """`value` is inf of the decimal `expected`'s sign where that lies beyond the
+    float range, and otherwise within 1e-12 of it relative to `terms`, the size
+    of the terms that sum to it, plus the subnormal spacing times 1 + |factor|:
+    the rounding of a subnormal result, and of a subnormal eta^2, which keeps
+    its bits there, times the `factor` it multiplies."""
+    finfo = np.finfo(np.float64)
+    if abs(expected) > decimal.Decimal(finfo.max):
+        return value == math.copysign(math.inf, expected)
+    spacing = decimal.Decimal(finfo.smallest_subnormal) * (1 + abs(decimal.Decimal(factor)))
+    return abs(decimal.Decimal(value) - expected) <= decimal.Decimal("1e-12") * terms + spacing
 
 
 @SETTINGS
@@ -126,7 +143,8 @@ def reference_margin(J, delta2p, kappa, kappa3, Omega_m):
 def test_coupled_margin_over_the_whole_domain(J, delta2p, kappa, kappa3, delta3, Omega_m):
     """The coupled margin has the reference's sign and is within 1e-12 of it, -inf
     where the reference lies beyond the float range, with no warning and no NaN
-    effective parameter.  An eta that underflows to 0 is the degenerate eta = 0."""
+    effective parameter.  An eta that underflows to 0 is the degenerate eta = 0.
+    kappa_eff and Delta_eff are `near` the reference."""
     p = NormalizedParams(delta2p=delta2p, delta3=delta3, kappa=kappa, kappa3=kappa3, J=J,
                          Omega_m=Omega_m)
     with warnings.catch_warnings():
@@ -134,7 +152,12 @@ def test_coupled_margin_over_the_whole_domain(J, delta2p, kappa, kappa3, delta3,
         eff = reduction.effective_params(p)
         margin = reduction.stability_coupled(p, eff).margin
     assert not np.isnan([eff.Omega_eff, eff.kappa_eff, eff.Delta_eff]).any()
-    expected = reference_margin(J, delta2p, kappa, kappa3, Omega_m)
+    eta_squared, kappa_eff, Delta_eff, expected = reference(
+        J, delta2p, kappa, kappa3, delta3, Omega_m
+    )
+    assert near(eff.kappa_eff, kappa_eff, kappa_eff, kappa)
+    terms = abs(decimal.Decimal(delta3)) + eta_squared * abs(decimal.Decimal(delta2p))
+    assert near(eff.Delta_eff, Delta_eff, terms, delta2p)
     if eff.eta == 0.0:
         assert margin == math.inf
     elif abs(expected) > decimal.Decimal(np.finfo(np.float64).max):
